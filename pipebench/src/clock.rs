@@ -21,11 +21,20 @@ struct Timespec {
     tv_nsec: i64,
 }
 
+#[repr(C)]
+struct PollFd {
+    fd: i32,
+    events: i16,
+    revents: i16,
+}
+
 extern "C" {
     fn clock_gettime(clock_id: i32, tp: *mut Timespec) -> i32;
+    fn ppoll(fds: *mut PollFd, nfds: u64, timeout: *const Timespec, sigmask: *const u8) -> i32;
 }
 
 const CLOCK_MONOTONIC: i32 = 1;
+const POLLIN: i16 = 1;
 
 /// Microseconds on the host-wide monotonic clock, plus [`SHIFT_US`].
 pub fn shared_now_us() -> u64 {
@@ -53,6 +62,33 @@ pub fn sleep_until(deadline_us: u64) {
     if deadline_us > now {
         std::thread::sleep(std::time::Duration::from_micros(deadline_us - now));
     }
+}
+
+/// Waits until one of `fds` has something to read (or has hung up), or
+/// the shared clock reads `deadline_us` (`None`: no deadline). Returns
+/// which of `fds` are ready, in order; none at the deadline or when a
+/// signal interrupted the wait.
+pub fn wait_readable<const N: usize>(fds: [i32; N], deadline_us: Option<u64>) -> [bool; N] {
+    let mut polled = fds.map(|fd| PollFd {
+        fd,
+        events: POLLIN,
+        revents: 0,
+    });
+    let timeout = deadline_us.map(|d| {
+        let left = (d * 1_000).saturating_sub(shared_now_ns());
+        Timespec {
+            tv_sec: (left / 1_000_000_000) as i64,
+            tv_nsec: (left % 1_000_000_000) as i64,
+        }
+    });
+    let timeout_ptr = timeout
+        .as_ref()
+        .map_or(std::ptr::null(), |t| t as *const Timespec);
+    // SAFETY: `polled` is an array of `N` valid `struct pollfd`s and
+    // `timeout` (when present) a valid `struct timespec`, both alive
+    // across the call; a null signal mask leaves the mask unchanged.
+    let rc = unsafe { ppoll(polled.as_mut_ptr(), N as u64, timeout_ptr, std::ptr::null()) };
+    polled.map(|p| rc > 0 && p.revents != 0)
 }
 
 /// The shared clock as a `gel` clock, so the hub's scope and main loop

@@ -7,12 +7,14 @@
 //! `oracle` checks the recorded history, `run key=value…` plays a
 //! phase and answers `done key=value…`, and `quit` (or end of input)
 //! exits. It uses at most two threads and two connections: the
-//! producer runs on the main thread, and a live subscriber or the
-//! query loop on a second one.
+//! producer runs on the main thread, and a live subscriber, the query
+//! loop or the oracle on a second one. Whatever the main thread waits
+//! for, it also answers the hub's PINGs on the producer connection.
 
 use std::collections::HashMap;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::SocketAddr;
+use std::os::fd::AsRawFd;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -27,7 +29,9 @@ use gquery::QueryEngine;
 use gscope::TupleSource;
 use gstore::StoreReader;
 
-use crate::clock::{shared_now_ns, shared_now_us, sleep_until, thread_cpu_ns, SharedClock};
+use crate::clock::{
+    shared_now_ns, shared_now_us, sleep_until, thread_cpu_ns, wait_readable, SharedClock,
+};
 use crate::history;
 use crate::inputs::{self, History, Rng, ZOOM_PX};
 use crate::stats::Summary;
@@ -68,7 +72,9 @@ fn run(args: &Args) -> Result<(), String> {
             .map_err(|e| e.to_string())
     };
     say("recorded".into())?;
-    let addr: SocketAddr = read_line()?
+    let mut commands = Commands::default();
+    let addr: SocketAddr = commands
+        .next(None)?
         .as_deref()
         .and_then(|l| l.strip_prefix("connect "))
         .and_then(|a| a.parse().ok())
@@ -93,9 +99,14 @@ fn run(args: &Args) -> Result<(), String> {
         traced,
     };
     say("ready".into())?;
-    while let Some(line) = read_line()? {
+    while let Some(line) = commands.next(Some(&mut producer))? {
         if line == "oracle" {
-            match history::oracle(&gen.dir, &gen.hist, seed) {
+            let verdict = std::thread::scope(|s| {
+                let check = s.spawn(|| history::oracle(&gen.dir, &gen.hist, seed));
+                serve_while(&mut producer, || !check.is_finished())?;
+                check.join().map_err(|_| "oracle panicked".to_owned())
+            })?;
+            match verdict {
                 Ok(()) => say("oracle ok".into())?,
                 Err(e) => say(format!("oracle failed: {e}"))?,
             }
@@ -117,14 +128,51 @@ fn run(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// One line from the hub, without its newline; `None` at end of input.
-fn read_line() -> Result<Option<String>, String> {
-    let mut line = String::new();
-    match std::io::stdin().read_line(&mut line) {
-        Ok(0) => Ok(None),
-        Ok(_) => Ok(Some(line.trim_end().to_owned())),
-        Err(e) => Err(format!("stdin: {e}")),
+/// The hub's command lines on stdin.
+#[derive(Default)]
+struct Commands {
+    buf: Vec<u8>,
+}
+
+impl Commands {
+    /// The next line, without its newline; `None` at end of input.
+    /// While it waits, it answers the producer's PINGs.
+    fn next(&mut self, mut producer: Option<&mut Producer>) -> Result<Option<String>, String> {
+        let stdin = std::io::stdin();
+        loop {
+            if let Some(i) = self.buf.iter().position(|&b| b == b'\n') {
+                let line: Vec<u8> = self.buf.drain(..=i).collect();
+                return Ok(Some(String::from_utf8_lossy(&line).trim_end().to_owned()));
+            }
+            let net = producer.as_deref().map_or(-1, Producer::fd);
+            let [cmd, ping] = wait_readable([stdin.as_raw_fd(), net], None);
+            if let (true, Some(p)) = (ping, producer.as_deref_mut()) {
+                p.answer().map_err(|e| format!("producer: {e}"))?;
+            }
+            if cmd {
+                // Larger than stdin's own buffer, which std then
+                // bypasses, so no line hides there from the wait above.
+                let mut chunk = [0u8; 16 * 1024];
+                match stdin.lock().read(&mut chunk) {
+                    Ok(0) => return Ok(None),
+                    Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                    Err(e) => return Err(format!("stdin: {e}")),
+                }
+            }
+        }
     }
+}
+
+/// Answers the hub's PINGs for as long as `busy` holds, checking it
+/// every 5 ms.
+fn serve_while(producer: &mut Producer, busy: impl Fn() -> bool) -> Result<(), String> {
+    while busy() {
+        producer
+            .wait_until(shared_now_us() + 5_000)
+            .map_err(|e| format!("producer: {e}"))?;
+    }
+    Ok(())
 }
 
 /// A binary subscriber connection, negotiated but not yet subscribed.
@@ -266,16 +314,14 @@ impl Generator {
                 None
             };
             let produced = match phase.load {
-                Load::Idle => {
-                    sleep_until(phase.t1);
-                    Ok(Report::new())
-                }
+                Load::Idle => producer.wait_until(phase.t1).map(|()| Report::new()),
                 Load::Open(hz) => self.open_loop(phase, hz, producer, &progress),
                 Load::Flood(hz) => self.flood(phase, hz, producer),
             };
             progress.done.store(true, Ordering::Release);
             let mut report = produced.map_err(|e| format!("producer: {e}"))?;
             if let Some(h) = second {
+                serve_while(producer, || !h.is_finished())?;
                 report.extend(h.join().map_err(|_| "generator thread panicked")??);
             }
             Ok(report)
@@ -298,10 +344,9 @@ impl Generator {
         let mut enc = BatchEncoder::new();
         let mut lags: Vec<f64> = Vec::new();
         let mut busy = BusyClock::default();
-        let mut next_service = phase.t0;
         let mut due = phase.t0;
         while due < phase.t1 {
-            sleep_until(due);
+            producer.wait_until(due)?;
             let now = shared_now_us();
             let first_due = due;
             while due <= now && due < phase.t1 {
@@ -321,10 +366,6 @@ impl Generator {
                     lags.push(sent_ns.saturating_sub(d * 1_000) as f64 / 1e3);
                 }
                 d += period;
-            }
-            if sent >= next_service {
-                producer.service()?;
-                next_service = sent + 10_000;
             }
             busy.mark(phase.m0, sent);
         }
@@ -348,22 +389,16 @@ impl Generator {
         });
         let mut lags: Vec<f64> = Vec::new();
         let mut busy = BusyClock::default();
-        let mut next_service = phase.t0;
         let mut due = phase.t0 + batch.span_us;
         while due < phase.t1 {
-            sleep_until(due);
+            producer.wait_until(due)?;
             producer.send_flood(&batch, due - batch.span_us)?;
             self.seq += batch.count;
             let sent_ns = shared_now_ns();
-            let sent = sent_ns / 1_000;
             if due >= phase.m0 {
                 lags.push(sent_ns.saturating_sub(due * 1_000) as f64 / 1e3);
             }
-            if sent >= next_service {
-                producer.service()?;
-                next_service = sent + 10_000;
-            }
-            busy.mark(phase.m0, sent);
+            busy.mark(phase.m0, sent_ns / 1_000);
             due += batch.span_us + step;
         }
         busy.finish();

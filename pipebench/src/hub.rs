@@ -48,9 +48,12 @@ const HEIGHT: usize = 150;
 const SETUP_REPS: usize = 5;
 
 /// Per-signal rates of the open-loop producers. The flood's 400k
-/// tuples/s is about a third of the hub's capacity on a two-core host:
-/// a closed loop at capacity stalls the hub for longer than any display
-/// delay up to 2 s, and the scope late-drops.
+/// tuples/s is half the highest loss-free rate measured on a two-core
+/// host with the generator beside the hub: 800k tuples/s ran clean at
+/// 0.71 hub CPU-seconds per second, while at 1.2M and 1.6M the
+/// generator fell 0.6–0.8 s behind and late drops reached 7% and 19%. A
+/// closed loop at capacity stalls the hub for longer than any display
+/// delay up to 2 s, and late-drops too.
 const LIVE_HZ: u64 = 4_000;
 const HISTORY_HZ: u64 = 1_000;
 const FLOOD_HZ: u64 = 25_000;
@@ -119,8 +122,10 @@ impl Workload {
 
     /// Probes for whatever the window does not exercise, so every run
     /// reports every metric, then the measured window. Probes go first
-    /// so they see a quiet hub, not one still digesting a flood.
-    fn steps(self, seconds: u64) -> Vec<Step> {
+    /// so they see a quiet hub, not one still digesting a flood. Only
+    /// per-layer metrics come from the query probe, so only traced runs
+    /// of `live` and `flood` have one.
+    fn steps(self, seconds: u64, traced: bool) -> Vec<Step> {
         let window = |load, sub, queries| Step {
             window: true,
             load,
@@ -145,7 +150,7 @@ impl Workload {
             warm_us: PROBE_WARM_US,
             run_us: QUERY_PROBE_US,
         };
-        match self {
+        let mut steps = match self {
             Workload::Live => vec![queries, window(Load::Open(LIVE_HZ), true, false)],
             Workload::Flood => vec![
                 deliver,
@@ -153,7 +158,11 @@ impl Workload {
                 window(Load::Flood(FLOOD_HZ), false, false),
             ],
             Workload::History => vec![deliver, window(Load::Open(HISTORY_HZ), false, true)],
+        };
+        if !traced {
+            steps.retain(|s| s.window || !s.queries);
         }
+        steps
     }
 }
 
@@ -228,7 +237,7 @@ fn run(opts: &Opts, root: &Path) -> Result<Vec<String>, String> {
     std::fs::create_dir_all(root).map_err(|e| format!("create {}: {e}", root.display()))?;
     let header = header(opts, root);
     eprintln!("pipebench: {header}");
-    let mut steps = opts.workload.steps(opts.seconds);
+    let mut steps = opts.workload.steps(opts.seconds, false);
     if opts.trace {
         // The untraced reference for `trace_overhead` needs only the
         // measured window.
@@ -243,7 +252,7 @@ fn run(opts: &Opts, root: &Path) -> Result<Vec<String>, String> {
     )?;
     let mut lines = vec![header];
     let (metrics, verdict) = if opts.trace {
-        let steps = opts.workload.steps(opts.seconds);
+        let steps = opts.workload.steps(opts.seconds, true);
         let traced = run_once(opts, root, &steps, true, 1)?;
         let mut verdict = traced.verdict();
         verdict.errors.extend(plain.verdict().errors);
@@ -284,21 +293,22 @@ fn run(opts: &Opts, root: &Path) -> Result<Vec<String>, String> {
 /// least ten samples beyond it; fewer is flagged.
 fn sample_counts(r: &RunResult) -> String {
     let (_, rec) = r.window();
-    let (sub, _) = r.phase(|s| s.sub);
-    let (q, _) = r.phase(|s| s.queries);
-    let counts = [
+    let (sub, _) = r.phase(|s| s.sub).expect("every workload has a subscriber");
+    let mut counts = vec![
         ("tick_late", rec.tick_late_us.len()),
         ("deliver", sub.get("deliver_n") as usize),
-        ("zoom", q.get("zoom_n") as usize),
-        ("search", q.get("search_n") as usize),
-        ("replay", q.get("replay_n") as usize),
-        ("setup", r.setup_s.len()),
     ];
-    for (name, n) in counts {
-        if name != "setup" && stats::beyond(n, 99.0) < 10 {
+    if let Some((q, _)) = r.phase(|s| s.queries) {
+        for kind in ["zoom", "search", "replay"] {
+            counts.push((kind, q.get(&format!("{kind}_n")) as usize));
+        }
+    }
+    for &(name, n) in &counts {
+        if stats::beyond(n, 99.0) < 10 {
             eprintln!("pipebench: {name} p99 rests on {n} samples (fewer than ten beyond it)");
         }
     }
+    counts.push(("setup", r.setup_s.len()));
     let body: Vec<String> = counts
         .iter()
         .map(|(k, n)| format!("\"{k}\": {n}"))
@@ -399,22 +409,30 @@ fn snap(server: &ScopeServer, scope: &SharedScope) -> Snap {
     }
 }
 
-/// The hub process's CPU time at one instant of a measured stretch;
-/// consecutive slices a second apart give per-second rates, whose
-/// median the report uses.
+/// The hub process's CPU time and accepted tuples at one instant of a
+/// measured stretch; consecutive slices a second apart give per-second
+/// rates, whose median the report uses.
 #[derive(Clone, Copy)]
 struct Slice {
     t_us: u64,
     cpu_s: f64,
+    accepted: u64,
 }
 
 impl Slice {
-    fn take() -> Slice {
+    fn take(server: &ScopeServer) -> Slice {
         Slice {
             t_us: shared_now_us(),
             cpu_s: process_cpu_s(),
+            accepted: accepted(&server.stats()),
         }
     }
+}
+
+/// Tuples accepted by both the store tee and the scopes.
+fn accepted(s: &ServerStats) -> u64 {
+    s.tuples_stored
+        .min(s.tuples_received.saturating_sub(s.tuples_dropped))
 }
 
 /// Display-loop and sampler observations of one phase.
@@ -498,17 +516,13 @@ impl RunResult {
     }
 
     fn window(&self) -> (&PhaseData, &PhaseRec) {
-        self.phase(|s| s.window)
+        self.phase(|s| s.window).expect("every run has a window")
     }
 
     /// The first phase matching `pick`, with its recorder.
-    fn phase(&self, pick: impl Fn(&Step) -> bool) -> (&PhaseData, &PhaseRec) {
-        let i = self
-            .phases
-            .iter()
-            .position(|p| pick(&p.step))
-            .expect("every workload has a phase of each kind");
-        (&self.phases[i], &self.recs[i])
+    fn phase(&self, pick: impl Fn(&Step) -> bool) -> Option<(&PhaseData, &PhaseRec)> {
+        let i = self.phases.iter().position(|p| pick(&p.step))?;
+        Some((&self.phases[i], &self.recs[i]))
     }
 }
 
@@ -534,6 +548,7 @@ fn run_once(
             inst = Some(i);
         }
     }
+    eprintln!("pipebench: {tag} set-up seconds {setup_s:?}");
     let mut inst = inst.expect("at least one set-up");
     let mut errors = Vec::new();
     inst.gen.send("oracle")?;
@@ -703,7 +718,7 @@ fn conduct(
             }
             if a.is_some() && now >= next_slice {
                 next_slice += 1_000_000;
-                let slice = Slice::take();
+                let slice = Slice::take(&inst.server);
                 rec.lock().phases[i].slices.push(slice);
             }
             if a.is_some() && now >= next_sample {
@@ -727,7 +742,7 @@ fn conduct(
         {
             let mut r = rec.lock();
             r.phase = None;
-            r.phases[i].slices.push(Slice::take());
+            r.phases[i].slices.push(Slice::take(&inst.server));
         }
         let lag_frames = compact_lag_frames(&inst.dir);
         let done = inst.gen.expect_done(Duration::from_secs(120))?;
@@ -990,7 +1005,7 @@ impl Instance {
     /// `gtool serve --store` does, and start a connected generator.
     fn start(opts: &Opts, traced: bool, dir: &Path) -> Result<Instance, String> {
         std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
-        let needs_sub = opts.workload.steps(1).iter().any(|s| s.sub);
+        let needs_sub = opts.workload.steps(1, traced).iter().any(|s| s.sub);
         let args: Vec<String> = [
             ("seed", opts.seed.to_string()),
             ("trace", u8::from(traced).to_string()),
@@ -1048,34 +1063,43 @@ impl Instance {
 type Metric = (&'static str, f64, &'static str);
 
 /// Tuples per second accepted by both the store tee and the scopes.
+/// Every producer is an open loop, so this is the offered rate unless
+/// tuples were lost, which fails the run anyway: a check, not a
+/// measure of the hub.
 fn ingest_tps(p: &PhaseData) -> f64 {
-    let (a, b) = (&p.a.server, &p.b.server);
-    let stored = b.tuples_stored - a.tuples_stored;
-    let shown = (b.tuples_received - a.tuples_received) - (b.tuples_dropped - a.tuples_dropped);
-    stored.min(shown) as f64 / p.secs()
+    (accepted(&p.b.server) - accepted(&p.a.server)) as f64 / p.secs()
 }
 
-/// CPU-seconds per wall-second of the hub process: the median over
-/// the stretch's one-second slices.
-fn cpu_util(rec: &PhaseRec) -> f64 {
-    let mut rates: Vec<f64> = rec
-        .slices
-        .windows(2)
-        .map(|w| (w[1].cpu_s - w[0].cpu_s) / ((w[1].t_us - w[0].t_us) as f64 / 1e6))
-        .collect();
+/// Median over the stretch's one-second slices of `f(slice, next)`.
+fn slice_median(rec: &PhaseRec, f: impl Fn(&Slice, &Slice) -> f64) -> f64 {
+    let mut rates: Vec<f64> = rec.slices.windows(2).map(|w| f(&w[0], &w[1])).collect();
     Summary::of(&mut rates).p50
+}
+
+/// CPU-seconds per wall-second of the hub process.
+fn cpu_util(rec: &PhaseRec) -> f64 {
+    slice_median(rec, |a, b| {
+        (b.cpu_s - a.cpu_s) / ((b.t_us - a.t_us) as f64 / 1e6)
+    })
+}
+
+/// Accepted tuples per CPU-second of the hub process: what the hub
+/// gets done with the CPU it takes, the figure its capacity scales
+/// with.
+fn tuples_per_cpu_s(rec: &PhaseRec) -> f64 {
+    slice_median(rec, |a, b| (b.accepted - a.accepted) as f64 / (b.cpu_s - a.cpu_s))
 }
 
 /// The end-to-end metrics. Query latencies and tick lateness swing too
 /// far from run to run on a two-core host to carry a bound; the traced
 /// run reports them with the per-layer metrics.
 fn e2e_metrics(r: &RunResult) -> Vec<Metric> {
-    let (win, rec) = r.window();
+    let (_, rec) = r.window();
     let mut setup = r.setup_s.clone();
-    let (sub, _) = r.phase(|s| s.sub);
+    let (sub, _) = r.phase(|s| s.sub).expect("every workload has a subscriber");
     vec![
         ("setup_s", Summary::of(&mut setup).p50, "s"),
-        ("ingest_tps", ingest_tps(win), "1/s"),
+        ("tuples_per_cpu_s", tuples_per_cpu_s(rec), "1/cpu_s"),
         ("cpu_util", cpu_util(rec), "cpu_s/s"),
         (
             "rss_mb",
@@ -1115,8 +1139,10 @@ fn telescope_error(r: &RunResult) -> Option<String> {
 
 fn layer_metrics(traced: &RunResult, plain: &RunResult) -> Vec<Metric> {
     let (win, rec) = traced.window();
-    let (sub, _) = traced.phase(|s| s.sub);
-    let (q, _) = traced.phase(|s| s.queries);
+    let (sub, _) = traced.phase(|s| s.sub).expect("every workload has a subscriber");
+    let (q, _) = traced
+        .phase(|s| s.queries)
+        .expect("traced runs have a query phase");
     let mut tick = rec.tick_us.clone();
     let tick = Summary::of(&mut tick);
     let mut late = rec.tick_late_us.clone();
@@ -1143,6 +1169,7 @@ fn layer_metrics(traced: &RunResult, plain: &RunResult) -> Vec<Metric> {
     let (_, prec) = plain.window();
     let trace_overhead = cpu_util(rec) / cpu_util(prec) - 1.0;
     vec![
+        ("ingest_tps", ingest_tps(win), "1/s"),
         ("gnet.duty_cycle", mean_of(&rec.duty), "ratio"),
         ("gnet.shard_duty_max", mean_of(&rec.shard_duty_max), "ratio"),
         ("gnet.stage.wire_us", stage(win, 0), "us"),

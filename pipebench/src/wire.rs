@@ -1,12 +1,17 @@
 //! The generator's producer connection: the hub's binary wire protocol
 //! over a plain blocking socket, so the generator pays little per tuple
-//! and never spins. PINGs from the hub are answered between frames, so
-//! the hub's clock model (and with it lateness attribution) stays live.
+//! and never spins. Whenever the generator waits, it waits on this
+//! socket too and answers a PING the moment it arrives, so the hub's
+//! clock samples (and with them lateness attribution) measure the link,
+//! not the generator's schedule.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::os::fd::AsRawFd;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+use crate::clock::{shared_now_us, wait_readable};
 
 use gnet::clock::wire_now_us;
 use gnet::wire::{
@@ -64,9 +69,38 @@ impl Producer {
         Ok(p)
     }
 
+    /// The socket's file descriptor, for waiting on it with others.
+    pub fn fd(&self) -> i32 {
+        self.stream.as_raw_fd()
+    }
+
+    /// Waits until the shared clock reads `deadline_us`, answering
+    /// PINGs as they arrive.
+    pub fn wait_until(&mut self, deadline_us: u64) -> std::io::Result<()> {
+        loop {
+            let [ready] = wait_readable([self.fd()], Some(deadline_us));
+            if ready {
+                self.answer()?;
+            } else if shared_now_us() >= deadline_us {
+                return Ok(());
+            }
+        }
+    }
+
+    /// Reads what the hub sent and sends the PONGs at once. Call it
+    /// only between frames.
+    pub fn answer(&mut self) -> std::io::Result<()> {
+        self.service()?;
+        if !self.control.is_empty() {
+            let control = std::mem::take(&mut self.control);
+            self.write_all(&control)?;
+        }
+        Ok(())
+    }
+
     /// Reads what the hub sent without blocking: WELCOME, and PINGs,
     /// whose PONGs go out before the next frame.
-    pub fn service(&mut self) -> std::io::Result<()> {
+    fn service(&mut self) -> std::io::Result<()> {
         self.stream.set_nonblocking(true)?;
         let read = loop {
             match self.stream.read(&mut self.read_buf) {
