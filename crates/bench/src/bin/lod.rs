@@ -214,7 +214,7 @@ fn main() {
         // Folded history is evicted past 64 MiB per tier: the tier
         // above answers for it, so disk, the per-query directory
         // walk, and the sidecar planning walk stay bounded at 10^9.
-        evict_folded: Some(64 << 20),
+        retain_bytes: Some(64 << 20),
         ..CompactorConfig::default()
     };
     let mut store = Store::open(&dir, store_cfg.clone()).expect("open store");

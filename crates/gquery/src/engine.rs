@@ -32,9 +32,7 @@ use gscope::{Result, ScopeError, TupleSource};
 use gstore::segment::{
     decode_records, parse_segment_file_name, read_block_header_at, read_block_payload,
 };
-use gstore::{
-    load_or_rebuild_index, probe_index, split_thread, IndexProbe, StoreReader, TermClass,
-};
+use gstore::{load_or_rebuild_index, split_thread, StoreReader, TermClass};
 
 use crate::expr::{glob_match, Query};
 
@@ -326,13 +324,8 @@ fn query_segment(
     stats: &mut QueryStats,
     out: &mut Vec<Match>,
 ) -> std::io::Result<()> {
-    let idx = match probe_index(seg)? {
-        IndexProbe::Valid(idx) => idx,
-        IndexProbe::Missing | IndexProbe::Stale | IndexProbe::Corrupt => {
-            stats.indexes_rebuilt += 1;
-            load_or_rebuild_index(seg)?.0
-        }
-    };
+    let (idx, rebuilt) = load_or_rebuild_index(seg)?;
+    stats.indexes_rebuilt += u64::from(rebuilt);
 
     // One posting set per class predicate; a frame matching the whole
     // query must appear in every one of them.

@@ -48,13 +48,16 @@
 //! block-scoped name id and folds the slots into an [`IndexBuilder`]
 //! at flush time.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fs::File;
 use std::io::{Seek, SeekFrom};
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, OnceLock};
 
 use crate::codec::{crc32, get_uvarint, put_uvarint};
-use crate::segment::{read_block_payload, read_seg_header, scan_headers, BLOCK_HEADER_LEN};
+use crate::segment::{
+    parse_segment_file_name, read_block_payload, read_seg_header, scan_headers, BLOCK_HEADER_LEN,
+};
 
 /// Sidecar file magic.
 pub const GIDX_MAGIC: [u8; 4] = *b"GIX1";
@@ -549,25 +552,71 @@ pub fn build_index(seg_path: &Path, limit: Option<u64>) -> std::io::Result<SegIn
     Ok(builder.finish(tier, limit))
 }
 
-/// Loads a segment's sidecar, rebuilding (and best-effort persisting)
-/// it when missing, stale, or corrupt. Returns the index and whether a
-/// rebuild happened — a rebuild reads the whole segment, so planners
-/// count it as having opened the file.
+/// Rebuilt indexes of append heads, which are never persisted (see
+/// [`load_or_rebuild_index`]); each is valid while its `seg_len`
+/// matches the file.
+fn head_indexes() -> &'static Mutex<HashMap<PathBuf, SegIndex>> {
+    static CACHE: OnceLock<Mutex<HashMap<PathBuf, SegIndex>>> = OnceLock::new();
+    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
+}
+
+/// Above this many entries [`head_indexes`] is dropped wholesale: one
+/// entry per store directory a process reads.
+const HEAD_INDEX_CAP: usize = 256;
+
+/// True when `seg_path` is the newest tier-0 segment of its directory:
+/// the segment a [`crate::Store`] may still be appending to.
+fn is_append_head(seg_path: &Path) -> bool {
+    let name = seg_path.file_name().and_then(|n| n.to_str());
+    let Some((seq, 0)) = name.and_then(parse_segment_file_name) else {
+        return false;
+    };
+    let Some(Ok(entries)) = seg_path.parent().map(std::fs::read_dir) else {
+        return true;
+    };
+    !entries.flatten().any(|e| {
+        e.file_name()
+            .to_str()
+            .and_then(parse_segment_file_name)
+            .is_some_and(|(s, tier)| tier == 0 && s > seq)
+    })
+}
+
+/// Loads a segment's sidecar, rebuilding it when missing, stale, or
+/// corrupt. Returns the index and whether a rebuild happened — a
+/// rebuild reads the whole segment, so planners count it as having
+/// opened the file.
+///
+/// A rebuild is persisted best-effort, except for the append head: a
+/// sidecar that matches its segment is the compactor's proof that the
+/// segment is sealed, so the head's rebuild is kept in memory only.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from the rebuild path.
 pub fn load_or_rebuild_index(seg_path: &Path) -> std::io::Result<(SegIndex, bool)> {
-    match probe_index(seg_path)? {
-        IndexProbe::Valid(idx) => Ok((idx, false)),
-        IndexProbe::Missing | IndexProbe::Stale | IndexProbe::Corrupt => {
-            let idx = build_index(seg_path, None)?;
-            // Persistence is an optimization; a read-only store dir
-            // still answers queries from the in-memory rebuild.
-            let _ = write_index(&index_path(seg_path), &idx);
-            Ok((idx, true))
-        }
+    if let IndexProbe::Valid(idx) = probe_index(seg_path)? {
+        return Ok((idx, false));
     }
+    let seg_len = std::fs::metadata(seg_path)?.len();
+    let heads = head_indexes().lock().expect("head index cache poisoned");
+    if let Some(idx) = heads.get(seg_path).filter(|i| i.seg_len == seg_len) {
+        return Ok((idx.clone(), false));
+    }
+    drop(heads);
+    let idx = build_index(seg_path, None)?;
+    if is_append_head(seg_path) {
+        let mut heads = head_indexes().lock().expect("head index cache poisoned");
+        if heads.len() >= HEAD_INDEX_CAP {
+            heads.clear();
+        }
+        heads.insert(seg_path.to_path_buf(), idx.clone());
+    } else {
+        // Persistence is an optimization; a read-only store dir
+        // still answers queries from the in-memory rebuild.
+        let _ = write_index(&index_path(seg_path), &idx);
+    }
+    Ok((idx, true))
 }
 
 #[cfg(test)]

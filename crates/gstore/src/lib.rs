@@ -24,16 +24,15 @@
 //!   truncates torn or corrupt tails, and salvages every complete
 //!   frame from a torn block; loss is bounded to the frame being
 //!   written at the crash, and open never refuses.
-//! * **Retention with graceful degradation** — size/age budgets evict
-//!   the oldest tier-0 segments into tier-1 min/max envelopes (the
-//!   on-disk analogue of the renderer's `decimate_minmax`), so old
-//!   history coarsens instead of disappearing.
-//!
 //! * **Zoomable** — the [`lod`] pyramid ("glod") folds sealed tier-K
 //!   segments into tier-K+1 min/max envelopes in the background and
 //!   answers [`Store::query`]`(signal, t0, t1, px_width)` off the
 //!   coarsest tier with one column per pixel, so zooming over a year
 //!   of history costs the same as a minute.
+//! * **Retention with graceful degradation** — the same [`Compactor`]
+//!   owns the disk budget: under `retain_bytes`/`retain_age` it deletes
+//!   the oldest segments of a tier only once the next tier's envelopes
+//!   cover them, so old history coarsens instead of disappearing.
 //!
 //! [`Store`] implements gscope's `TupleSink` and [`StoreReader`]
 //! implements `TupleSource`, so the scope recorder, the network
@@ -58,6 +57,4 @@ pub use lod::{
 };
 pub use reader::{ReaderStats, StoreReader};
 pub use segment::{recover_segment, Recovery, SalvagedFrame};
-pub use store::{
-    catalog_segments, RetentionReport, SegmentInfo, Store, StoreConfig, StoreStats, StoreTelemetry,
-};
+pub use store::{catalog_segments, SegmentInfo, Store, StoreConfig, StoreStats, StoreTelemetry};

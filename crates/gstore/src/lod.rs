@@ -23,6 +23,10 @@
 //!   or below it are done, sources above it are pending. Nothing is
 //!   ever folded twice. Externally damaged tier segments go through
 //!   the same [`recover_segment`] path the store's tier-0 tail does.
+//! * **Retention** — `retain_bytes`/`retain_age` bound the history on
+//!   disk with one rule: a segment is deleted, oldest first, only once
+//!   its sequence is at or under the next tier's watermark, so evicted
+//!   history always survives as envelopes one tier up.
 //! * **Query** — [`query`] picks the coarsest tier that still yields
 //!   at least one envelope column per pixel, prunes segments and
 //!   blocks wholesale off `.gidx` time envelopes, scans the survivors
@@ -42,7 +46,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
-use gel::TimeStamp;
+use gel::{TimeDelta, TimeStamp};
 use gscope::{decimate_minmax, Cols, Envelope, Result, Scope, ScopeError};
 use gtel::{Counter, Gauge, Registry};
 
@@ -72,12 +76,17 @@ pub struct CompactorConfig {
     /// Upper bound on source frames folded into a single output
     /// segment (bounds fold memory).
     pub batch_frames: u64,
-    /// Per-tier byte budget for *folded* segments: once a tier-K
-    /// segment is covered by the tier-K+1 watermark it may be deleted,
-    /// oldest first, to keep the tier under budget. `None` keeps
-    /// everything. Do not combine with the store's own
-    /// `retain_bytes`/`retain_age` eviction — one owner per directory.
-    pub evict_folded: Option<u64>,
+    /// Per-tier byte budget: while a tier is over it, its oldest
+    /// segments covered by the next tier's watermark are deleted. A
+    /// tier may run over by its unfolded tail, and always keeps its
+    /// newest segment. `None` keeps everything.
+    pub retain_bytes: Option<u64>,
+    /// Tier-0 age horizon: covered tier-0 segments whose newest frame
+    /// is older than this are deleted. Age is measured against the
+    /// newest frame a tier-0 sidecar records — data time, not wall
+    /// time, so replayed recordings behave deterministically. `None`
+    /// keeps everything.
+    pub retain_age: Option<TimeDelta>,
     /// Frames per block in output segments — block headers are the
     /// query's pruning unit, so this bounds wasted decode per slice.
     pub block_frames: u64,
@@ -92,7 +101,8 @@ impl Default for CompactorConfig {
             max_tier: 8,
             min_fold_frames: 64 * 1024,
             batch_frames: 2 * 1024 * 1024,
-            evict_folded: None,
+            retain_bytes: None,
+            retain_age: None,
             block_frames: 1024,
             interval: Duration::from_millis(500),
         }
@@ -108,7 +118,7 @@ pub struct CompactReport {
     pub frames_in: u64,
     /// Envelope frames written (two per band).
     pub frames_out: u64,
-    /// Folded source segments deleted under `evict_folded`.
+    /// Covered segments deleted under `retain_bytes`/`retain_age`.
     pub segments_evicted: u64,
     /// Scratch files swept plus damaged tier segments re-recovered.
     pub recovered: u64,
@@ -166,9 +176,9 @@ struct TierSeg {
 /// Process-wide size cache for sealed segment files. A segment's
 /// length is immutable once sealed, so a `stat` per file per query is
 /// pure waste — and at a year of history the directory holds hundreds
-/// of fold outputs. Only files that can still grow (the newest tier-0
-/// and tier-1 segments — the store's append head and its retention
-/// log) are re-stated every time; see [`tier_map`].
+/// of fold outputs. Only the file that can still grow (the newest
+/// tier-0 segment, the store's append head) is re-stated every time;
+/// see [`tier_map`].
 fn seg_bytes_cache() -> &'static Mutex<HashMap<PathBuf, u64>> {
     static CACHE: OnceLock<Mutex<HashMap<PathBuf, u64>>> = OnceLock::new();
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
@@ -206,10 +216,10 @@ fn tier_map(dir: &Path, fresh_stat: bool) -> std::io::Result<BTreeMap<u16, Vec<T
     }
     for (&tier, segs) in map.iter_mut() {
         segs.sort_by_key(|s| s.seq);
-        // The newest tier-0 and tier-1 segments may have an open
-        // writer appending to them; everything else is sealed. Stat
-        // the growable pair fresh and remember the rest.
-        let growable = (tier <= 1).then(|| segs.len().saturating_sub(1));
+        // The newest tier-0 segment may have an open writer appending
+        // to it; everything else is sealed. Stat it fresh and remember
+        // the rest.
+        let growable = (tier == 0).then(|| segs.len().saturating_sub(1));
         let mut cache = seg_bytes_cache().lock().unwrap();
         if cache.len() >= INDEX_CACHE_CAP {
             cache.clear();
@@ -256,6 +266,26 @@ fn seg_frames(path: &Path) -> std::io::Result<u64> {
     }
     let scan = scan_headers(&mut file)?;
     Ok(scan.blocks.iter().map(|b| u64::from(b.frames)).sum())
+}
+
+/// Newest frame time of each tier-0 segment, from its sidecar.
+/// Segments at or under `wm` are sealed, so a missing sidecar is
+/// rebuilt; above it a segment may be open and counts only with a
+/// sidecar that matches it. `None` where neither is readable: a
+/// damaged segment is kept, and never fails the pass.
+fn tier0_last_us(segs: &[TierSeg], wm: u64) -> Vec<Option<u64>> {
+    segs.iter()
+        .map(|s| {
+            let idx = if s.seq <= wm {
+                load_or_rebuild_index(&s.path).ok().map(|(idx, _)| idx)
+            } else if let Ok(IndexProbe::Valid(idx)) = probe_index(&s.path) {
+                Some(idx)
+            } else {
+                None
+            };
+            idx.and_then(|i| i.last_us())
+        })
+        .collect()
 }
 
 /// The background pyramid builder for one store directory.
@@ -315,9 +345,10 @@ impl Compactor {
     /// kill mid-fold leaves only these — the fold re-runs from its
     /// sources) and runs [`recover_segment`] over any tier >= 1
     /// segment whose sidecar does not match it (external damage:
-    /// torn tails are truncated, sidecars rebuilt). The newest segment
-    /// of each tier is skipped unless sealed — it may be an open
-    /// writer. Returns the number of items cleaned.
+    /// torn tails are truncated, sidecars rebuilt). Tiers >= 1 are
+    /// written only by the compactor, sealed before they are renamed
+    /// into place, so a mismatch there is always damage. Returns the
+    /// number of items cleaned.
     ///
     /// # Errors
     ///
@@ -339,16 +370,8 @@ impl Compactor {
             if tier == 0 {
                 continue; // tier 0 belongs to Store::open's recovery
             }
-            let newest = segs.last().map(|s| s.seq);
             for seg in segs {
                 if matches!(probe_index(&seg.path)?, IndexProbe::Valid(_)) {
-                    continue;
-                }
-                if tier == 1 && Some(seg.seq) == newest && watermark(&self.dir, 2) < Some(seg.seq) {
-                    // Possibly an open writer: only tier 1 can have
-                    // one (the store's bucketed retention log). Tiers
-                    // above are compactor-owned and always sealed, so
-                    // a mismatched sidecar there is always damage.
                     continue;
                 }
                 let rec = recover_segment(&seg.path)?;
@@ -371,7 +394,7 @@ impl Compactor {
 
     /// One full sweep: recover, then fold every tier with at least
     /// `min_fold_frames` pending sealed frames, then apply the
-    /// `evict_folded` budget.
+    /// `retain_bytes`/`retain_age` policy.
     ///
     /// # Errors
     ///
@@ -401,9 +424,7 @@ impl Compactor {
             let folded = self.fold_tier(k, threshold.max(1))?;
             report.absorb(folded);
         }
-        if let Some(budget) = self.cfg.evict_folded {
-            report.segments_evicted = self.evict_folded(budget)?;
-        }
+        report.segments_evicted = self.evict()?;
         let tiers = tier_map(&self.dir, true)?;
         report.top_tier = tiers.keys().copied().max().unwrap_or(0);
         self.tel.top_tier.set_count(usize::from(report.top_tier));
@@ -556,18 +577,39 @@ impl Compactor {
         Ok(report)
     }
 
-    /// Deletes folded (watermark-covered) segments, oldest first,
-    /// until every tier fits the byte budget.
-    fn evict_folded(&mut self, budget: u64) -> std::io::Result<u64> {
+    /// Applies the retention policy: deletes segments oldest first,
+    /// and only those at or under the next tier's watermark, while
+    /// their tier is over `retain_bytes` or (tier 0) older than
+    /// `retain_age`.
+    fn evict(&mut self) -> std::io::Result<u64> {
+        let (budget, age) = (self.cfg.retain_bytes, self.cfg.retain_age);
+        if budget.is_none() && age.is_none() {
+            return Ok(0);
+        }
         let mut evicted = 0u64;
         let tiers = tier_map(&self.dir, true)?;
         for (&tier, segs) in &tiers {
             let Some(wm) = watermark(&self.dir, tier + 1) else {
                 continue;
             };
+            let expired: Vec<bool> = match (tier, age) {
+                (0, Some(age)) => {
+                    let last = tier0_last_us(segs, wm);
+                    let newest = last.iter().flatten().max().copied().unwrap_or(0);
+                    last.iter()
+                        .map(|l| l.is_some_and(|t| newest - t > age.as_micros()))
+                        .collect()
+                }
+                _ => Vec::new(),
+            };
+            // A tier's newest segment stays: at tier 0 it holds the
+            // store's newest frame time (its append gate on reopen),
+            // above 0 its name is the watermark, without which covered
+            // sources would look pending and fold twice.
             let mut total: u64 = segs.iter().map(|s| s.bytes).sum();
-            for seg in segs {
-                if total <= budget || seg.seq > wm {
+            for (i, seg) in segs[..segs.len() - 1].iter().enumerate() {
+                let over = budget.is_some_and(|b| total > b);
+                if seg.seq > wm || !(over || expired.get(i) == Some(&true)) {
                     break;
                 }
                 std::fs::remove_file(&seg.path)?;
@@ -756,10 +798,7 @@ fn cached_index(
             return Ok((Arc::clone(&c.idx), c.first_us, c.last_us, c.blocks));
         }
     }
-    let (idx, rebuilt) = match probe_index(&seg.path)? {
-        IndexProbe::Valid(idx) => (idx, false),
-        _ => load_or_rebuild_index(&seg.path)?,
-    };
+    let (idx, rebuilt) = load_or_rebuild_index(&seg.path)?;
     if rebuilt {
         stats.indexes_rebuilt += 1;
     }
@@ -1400,11 +1439,11 @@ mod tests {
     }
 
     #[test]
-    fn evict_folded_keeps_tier_under_budget() {
+    fn retain_bytes_keeps_tier_under_budget() {
         let dir = tmp_dir("evict");
         fill(&dir, 8_000);
         let mut cfg = lod_cfg();
-        cfg.evict_folded = Some(4096);
+        cfg.retain_bytes = Some(4096);
         let mut c = Compactor::new(&dir, cfg).unwrap();
         let report = c.pass().unwrap();
         assert!(report.segments_evicted > 0, "{report:?}");
@@ -1412,6 +1451,9 @@ mod tests {
         let t0: u64 = tiers[&0].iter().map(|s| s.bytes).sum();
         // Budget plus the one unfolded (active-at-close) segment.
         assert!(t0 <= 4096 + 2048 + 64, "tier0 {t0}B over budget");
+        // Every tier kept its watermark, so nothing is folded twice.
+        let again = c.pass().unwrap();
+        assert_eq!(again.folds, 0, "{again:?}");
         // History stays queryable through the pyramid.
         let r = query(
             &dir,
@@ -1422,6 +1464,77 @@ mod tests {
         )
         .unwrap();
         assert!(r.columns.iter().filter(|c| c.is_some()).count() >= 32);
+    }
+
+    #[test]
+    fn retain_age_evicts_covered_history_past_the_horizon() {
+        let dir = tmp_dir("age");
+        fill(&dir, 8_000);
+        let mut cfg = lod_cfg();
+        cfg.retain_age = Some(TimeDelta::from_secs(2));
+        let mut c = Compactor::new(&dir, cfg).unwrap();
+        let report = c.pass().unwrap();
+        assert!(report.segments_evicted > 0, "{report:?}");
+        let tiers = tier_map(&dir, true).unwrap();
+        let oldest = &tiers[&0][0].path;
+        let last = load_or_rebuild_index(oldest).unwrap().0.last_us().unwrap();
+        // Newest frame at 7.999 s: what is left ends within 2 s of it.
+        assert!(last >= 5_999_000, "kept a segment ending at {last}us");
+    }
+
+    /// The store's append head, as a file path.
+    fn head_segment(dir: &Path) -> PathBuf {
+        let tiers = tier_map(dir, true).unwrap();
+        tiers[&0].last().unwrap().path.clone()
+    }
+
+    #[test]
+    fn reader_rebuild_does_not_seal_the_open_segment() {
+        let dir = tmp_dir("open-head");
+        let mut store = Store::open(&dir, StoreConfig::default()).unwrap();
+        for i in 0..1_000u64 {
+            store
+                .append(TimeStamp::from_micros(i * 1_000), i as f64, Some("wave"))
+                .unwrap();
+        }
+        store.flush().unwrap();
+        // A search or zoom over the live store rebuilds the head's
+        // missing sidecar; that must not read as proof of a seal.
+        load_or_rebuild_index(&head_segment(&dir)).unwrap();
+        let mut c = Compactor::new(&dir, lod_cfg()).unwrap();
+        c.pass().unwrap();
+        assert_eq!(watermark(&dir, 1), None, "open segment folded");
+        store.close().unwrap();
+        c.pass().unwrap();
+        assert_eq!(watermark(&dir, 1), Some(0), "sealed segment folds");
+    }
+
+    #[test]
+    fn reopened_head_is_not_folded_until_sealed() {
+        let dir = tmp_dir("reopen-head");
+        let mut store = Store::open(&dir, StoreConfig::default()).unwrap();
+        for i in 0..100u64 {
+            store
+                .append(TimeStamp::from_micros(i * 1_000), i as f64, Some("wave"))
+                .unwrap();
+        }
+        store.close().unwrap();
+        // Reopening resumes the sealed head for append: its sidecar no
+        // longer describes the file the store will write.
+        let mut store = Store::open(&dir, StoreConfig::default()).unwrap();
+        let mut c = Compactor::new(&dir, lod_cfg()).unwrap();
+        c.pass().unwrap();
+        assert_eq!(watermark(&dir, 1), None, "resumed segment folded");
+        for i in 100..1_000u64 {
+            store
+                .append(TimeStamp::from_micros(i * 1_000), i as f64, Some("wave"))
+                .unwrap();
+        }
+        store.close().unwrap();
+        c.pass().unwrap();
+        let t1 = &tier_map(&dir, true).unwrap()[&1];
+        // 1000 frames at group 4: 250 bands of two frames each.
+        assert_eq!(seg_frames(&t1[0].path).unwrap(), 500, "{t1:?}");
     }
 
     #[test]

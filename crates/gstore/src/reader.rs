@@ -578,8 +578,6 @@ mod tests {
             block_bytes: 256,
             block_frames: 16,
             segment_bytes: 1024,
-            retain_bytes: Some(2048),
-            compact_bucket: gel::TimeDelta::from_millis(50),
             ..StoreConfig::default()
         };
         let mut store = Store::open(&dir, cfg).unwrap();
@@ -593,6 +591,20 @@ mod tests {
                 .unwrap();
         }
         store.close().unwrap();
+        let lod = crate::CompactorConfig {
+            retain_bytes: Some(2048),
+            ..crate::CompactorConfig::default()
+        };
+        crate::Compactor::new(&dir, lod).unwrap().drain().unwrap();
+        // Retention bounded tier 0 (one segment of slack) ...
+        let tier0: u64 = crate::catalog_segments(&dir)
+            .unwrap()
+            .iter()
+            .filter(|s| s.tier == 0)
+            .map(|s| s.bytes)
+            .sum();
+        assert!(tier0 <= 2048 + 1024 + 64, "tier0 {tier0}B over budget");
+        // ... and evicted history reads back as min/max pairs.
         let mut r = StoreReader::open_tier(&dir, 1).unwrap();
         let tuples = r.collect_tuples().unwrap();
         assert!(!tuples.is_empty());

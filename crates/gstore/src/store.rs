@@ -1,36 +1,31 @@
-//! The append side: a directory of segments with rotation, retention,
-//! and min/max downsampling into a coarser tier.
+//! The append side: a directory of tier-0 segments with rotation and
+//! torn-tail recovery.
 //!
-//! A store directory holds `seg-NNNNNNNN-tT.gseg` files. Tier 0 is the
-//! full-rate log; tier 1 holds min/max pairs per `(signal, bucket)`
-//! produced when tier-0 segments are evicted by the retention policy,
-//! mirroring the renderer's `decimate_minmax` semantics: an evicted
-//! stretch of history keeps its envelope (two frames per bucket, equal
-//! timestamps — legal under §3.3's non-decreasing rule) instead of
-//! vanishing.
+//! A store directory holds `seg-NNNNNNNN-tT.gseg` files. The store
+//! writes tier 0, the full-rate log, and appends only to its newest
+//! segment. Everything coarser belongs to the glod
+//! [`Compactor`](crate::lod::Compactor): it folds sealed segments into
+//! tier-1+ min/max envelopes and, under its `retain_bytes`/`retain_age`
+//! policy, deletes a segment only once the next tier covers it — so
+//! bounded history coarsens instead of vanishing.
 
-use std::collections::BTreeMap;
 use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use gel::{TimeDelta, TimeStamp};
+use gel::TimeStamp;
 use gscope::{Result, ScopeError, TupleSink};
-use gtel::{Counter, Gauge, Registry};
+use gtel::{Counter, Registry};
 
 use crate::segment::{
     parse_segment_file_name, read_block_payload, read_seg_header, recover_segment, scan_headers,
     segment_file_name, SegmentWriter,
 };
 
-/// Compaction scratch: `(bucket_start_us, signal)` → running
-/// `(min, max)` over the frames that fell in the bucket.
-type EnvelopeBuckets = BTreeMap<(u64, Option<Arc<str>>), (f64, f64)>;
-
 /// Tuning knobs for a [`Store`]. The defaults favor scope recording:
 /// ~16 KiB blocks (about a thousand frames of index granularity, one
-/// write syscall each) and 1 MiB segments (the retention / compaction
-/// unit).
+/// write syscall each) and 1 MiB segments (the compaction and
+/// eviction unit).
 #[derive(Clone, Debug)]
 pub struct StoreConfig {
     /// Flush the open block once its payload reaches this many bytes.
@@ -40,15 +35,6 @@ pub struct StoreConfig {
     pub block_frames: u32,
     /// Roll to a new segment once the current one reaches this size.
     pub segment_bytes: u64,
-    /// Evict the oldest tier-0 segments once their total size exceeds
-    /// this budget (`None` = unbounded).
-    pub retain_bytes: Option<u64>,
-    /// Evict tier-0 segments whose newest frame is older than this,
-    /// measured against the newest data time in the store — data time,
-    /// not wall time, so replayed recordings behave deterministically.
-    pub retain_age: Option<TimeDelta>,
-    /// Bucket width for tier-1 min/max downsampling of evicted data.
-    pub compact_bucket: TimeDelta,
     /// `fsync` after every block write (durable against power loss,
     /// not just process crash). Off by default: the paper's tool is a
     /// debugging aid, and a torn tail already loses at most one frame.
@@ -67,9 +53,6 @@ impl Default for StoreConfig {
             block_bytes: 16 * 1024,
             block_frames: 1024,
             segment_bytes: 1 << 20,
-            retain_bytes: None,
-            retain_age: None,
-            compact_bucket: TimeDelta::from_secs(1),
             fsync: false,
             index_sidecars: true,
         }
@@ -83,7 +66,7 @@ pub struct SegmentInfo {
     pub path: PathBuf,
     /// Monotonic sequence number (file-name order == time order).
     pub seq: u64,
-    /// Downsampling tier (0 = full rate, 1 = min/max buckets).
+    /// Downsampling tier (0 = full rate, K >= 1 = glod envelopes).
     pub tier: u16,
     /// File size in bytes.
     pub bytes: u64,
@@ -112,10 +95,6 @@ pub struct StoreStats {
     pub salvaged_frames: u64,
     /// Complete blocks dropped for CRC mismatch on open.
     pub dropped_blocks: u64,
-    /// Retention passes that downsampled at least one segment.
-    pub compaction_runs: u64,
-    /// Tier-0 segments evicted by retention.
-    pub segments_evicted: u64,
 }
 
 /// Cached gtel handles for one [`Store`].
@@ -128,12 +107,8 @@ pub struct StoreTelemetry {
     pub bytes: Arc<Counter>,
     /// `store.segments.rolled` — segments sealed and rolled.
     pub segments_rolled: Arc<Counter>,
-    /// `store.segments.live` — sealed tier-0 segments on disk.
-    pub segments_live: Arc<Gauge>,
     /// `store.recovery.truncations` — torn/corrupt tails cut on open.
     pub recovery_truncations: Arc<Counter>,
-    /// `store.compaction.runs` — retention passes that downsampled.
-    pub compaction_runs: Arc<Counter>,
 }
 
 impl StoreTelemetry {
@@ -143,9 +118,7 @@ impl StoreTelemetry {
             frames: registry.counter("store.frames"),
             bytes: registry.counter("store.bytes"),
             segments_rolled: registry.counter("store.segments.rolled"),
-            segments_live: registry.gauge("store.segments.live"),
             recovery_truncations: registry.counter("store.recovery.truncations"),
-            compaction_runs: registry.counter("store.compaction.runs"),
             registry,
         }
     }
@@ -160,17 +133,6 @@ impl Default for StoreTelemetry {
     fn default() -> Self {
         StoreTelemetry::new(Registry::shared())
     }
-}
-
-/// Summary of one retention pass.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RetentionReport {
-    /// Tier-0 segments evicted.
-    pub evicted: u64,
-    /// Tier-0 frames folded into tier-1 buckets.
-    pub frames_compacted: u64,
-    /// `(signal, bucket)` envelopes written to tier 1.
-    pub buckets_written: u64,
 }
 
 /// Scans `dir` and catalogs its segment files, newest last.
@@ -237,17 +199,8 @@ pub struct Store {
     writer: Option<SegmentWriter>,
     /// Sequence number for the *next* segment created.
     next_seq: u64,
-    /// Sealed tier-0 segments, oldest first.
-    sealed: Vec<SegmentInfo>,
-    /// Open tier-1 writer for compacted envelopes, created lazily.
-    tier1: Option<SegmentWriter>,
-    tier1_last_us: Option<u64>,
     /// Time of the last accepted frame (monotonicity gate).
     last_us: Option<u64>,
-    /// First frame time of the active segment.
-    active_first_us: Option<u64>,
-    /// Frames in the active segment.
-    active_frames: u64,
     /// Frames already published to the telemetry counter (telemetry is
     /// batched to block boundaries; see `publish_frames`).
     frames_reported: u64,
@@ -275,22 +228,12 @@ impl Store {
         std::fs::create_dir_all(&dir).map_err(ScopeError::Io)?;
         let mut catalog = catalog_segments(&dir).map_err(ScopeError::Io)?;
         let next_seq = catalog.iter().map(|s| s.seq + 1).max().unwrap_or(0);
-        let tier1_last_us = catalog
-            .iter()
-            .filter(|s| s.tier == 1)
-            .filter_map(|s| s.last_us)
-            .max();
         let mut store = Store {
             dir,
             cfg,
             writer: None,
             next_seq,
-            sealed: Vec::new(),
-            tier1: None,
-            tier1_last_us,
             last_us: None,
-            active_first_us: None,
-            active_frames: 0,
             frames_reported: 0,
             stats: StoreStats::default(),
             telemetry: StoreTelemetry::default(),
@@ -305,8 +248,11 @@ impl Store {
             .iter()
             .rposition(|s| s.tier == 0 && wm < Some(s.seq))
             .map(|i| catalog.remove(i));
-        store.sealed = catalog.into_iter().filter(|s| s.tier == 0).collect();
-        store.last_us = store.sealed.iter().filter_map(|s| s.last_us).max();
+        store.last_us = catalog
+            .iter()
+            .filter(|s| s.tier == 0)
+            .filter_map(|s| s.last_us)
+            .max();
         if let Some(active) = active {
             let rec = recover_segment(&active.path).map_err(ScopeError::Io)?;
             if rec.truncated {
@@ -323,25 +269,26 @@ impl Store {
                 let mut w =
                     SegmentWriter::resume(active.path.clone(), rec.valid_len, store.cfg.fsync)
                         .map_err(ScopeError::Io)?;
+                // The segment is open again: a sidecar matching it would
+                // tell the compactor it is sealed. Sealing writes a new one.
+                match std::fs::remove_file(crate::index::index_path(&active.path)) {
+                    Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+                        return Err(ScopeError::Io(e));
+                    }
+                    _ => {}
+                }
                 w.set_index_enabled(store.cfg.index_sidecars);
-                store.active_first_us = active.first_us;
-                store.active_frames = rec.frames;
                 store.last_us = store
                     .last_us
                     .max(rec.last_us)
                     .max(rec.salvaged.last().map(|f| f.time_us));
                 store.stats.salvaged_frames += rec.salvaged.len() as u64;
                 for f in &rec.salvaged {
-                    if store.active_first_us.is_none() {
-                        store.active_first_us = Some(f.time_us);
-                    }
                     w.append(f.time_us, f.value, f.name.as_deref());
-                    store.active_frames += 1;
                 }
                 store.writer = Some(w);
             }
         }
-        store.telemetry.segments_live.set_count(store.sealed.len());
         Ok(store)
     }
 
@@ -350,7 +297,7 @@ impl Store {
         &self.dir
     }
 
-    /// Running totals (frames, bytes, rolls, recoveries, compactions).
+    /// Running totals (frames, bytes, rolls, recoveries).
     /// `bytes_written` counts flushed bytes; the open block is not
     /// included until it flushes.
     pub fn stats(&self) -> StoreStats {
@@ -365,13 +312,6 @@ impl Store {
     /// Re-homes the store's metrics in `registry`.
     pub fn set_telemetry(&mut self, registry: Arc<Registry>) {
         self.telemetry = StoreTelemetry::new(registry);
-        self.telemetry.segments_live.set_count(self.sealed.len());
-    }
-
-    /// Sealed tier-0 segments, oldest first (the active segment is not
-    /// listed until it rolls).
-    pub fn sealed_segments(&self) -> &[SegmentInfo] {
-        &self.sealed
     }
 
     /// Time of the newest accepted frame.
@@ -399,24 +339,18 @@ impl Store {
             }
         }
         if self.writer.is_none() {
-            self.writer = Some(self.new_segment(0)?);
-            self.active_first_us = None;
-            self.active_frames = 0;
+            self.writer = Some(self.new_segment()?);
         }
         let w = self.writer.as_mut().expect("writer just ensured");
-        if self.active_first_us.is_none() {
-            self.active_first_us = Some(time_us);
-        }
         w.append(time_us, value, name);
-        self.active_frames += 1;
         self.last_us = Some(time_us);
         self.stats.frames_appended += 1;
         // Telemetry counters are atomics; publish at block granularity
-        // (see `flush_block`) to keep the append path free of them.
+        // (see `flush`) to keep the append path free of them.
         if w.block_payload_len() >= self.cfg.block_bytes
             || w.block_frames() >= self.cfg.block_frames
         {
-            self.flush_block()?;
+            self.flush()?;
         }
         Ok(())
     }
@@ -430,18 +364,25 @@ impl Store {
         self.append(t.time, t.value, t.name.as_deref())
     }
 
-    fn new_segment(&mut self, tier: u16) -> Result<SegmentWriter> {
+    fn new_segment(&mut self) -> Result<SegmentWriter> {
         let seq = self.next_seq;
         self.next_seq += 1;
         let created_us = self.last_us.unwrap_or(0);
-        let path = self.dir.join(segment_file_name(seq, tier));
-        let mut w = SegmentWriter::create(path, tier, created_us, self.cfg.fsync)
-            .map_err(ScopeError::Io)?;
+        let path = self.dir.join(segment_file_name(seq, 0));
+        let mut w =
+            SegmentWriter::create(path, 0, created_us, self.cfg.fsync).map_err(ScopeError::Io)?;
         w.set_index_enabled(self.cfg.index_sidecars);
         Ok(w)
     }
 
-    fn flush_block(&mut self) -> Result<()> {
+    /// Flushes the open block so readers (and a crash) see everything
+    /// appended so far, rolling the segment once it reaches
+    /// `segment_bytes`.
+    ///
+    /// # Errors
+    ///
+    /// [`ScopeError::Io`] on write failure.
+    pub fn flush(&mut self) -> Result<()> {
         let Some(w) = self.writer.as_mut() else {
             return Ok(());
         };
@@ -474,165 +415,26 @@ impl Store {
         }
     }
 
-    /// Seals the active segment and starts a new one, then applies the
-    /// retention policy and returns what it evicted. Called
-    /// automatically at the size threshold; callable explicitly (the
-    /// CLI does, before compacting).
+    /// Seals the active segment; the next append starts a new one.
+    /// Called automatically at the size threshold.
     ///
     /// # Errors
     ///
     /// [`ScopeError::Io`] on seal failure.
-    pub fn roll_segment(&mut self) -> Result<RetentionReport> {
+    pub fn roll_segment(&mut self) -> Result<()> {
         let Some(w) = self.writer.take() else {
-            return Ok(RetentionReport::default());
+            return Ok(());
         };
-        let path = w.path().to_path_buf();
         let pending = pending_block_bytes(&w);
-        let bytes = w.seal().map_err(ScopeError::Io)?;
+        w.seal().map_err(ScopeError::Io)?;
         self.stats.bytes_written += pending;
         if pending > 0 {
             self.stats.blocks_flushed += 1;
         }
         self.telemetry.bytes.add(pending);
         self.publish_frames();
-        let seq = parse_segment_file_name(path.file_name().and_then(|n| n.to_str()).unwrap_or(""))
-            .map(|(s, _)| s)
-            .unwrap_or(self.next_seq.saturating_sub(1));
-        self.sealed.push(SegmentInfo {
-            path,
-            seq,
-            tier: 0,
-            bytes,
-            first_us: self.active_first_us,
-            last_us: self.last_us,
-            frames: self.active_frames,
-        });
-        self.active_first_us = None;
-        self.active_frames = 0;
         self.stats.segments_rolled += 1;
         self.telemetry.segments_rolled.inc();
-        self.telemetry.segments_live.set_count(self.sealed.len());
-        self.enforce_retention()
-    }
-
-    /// Applies the retention policy: evicts the oldest sealed tier-0
-    /// segments over the byte budget or past the age horizon, folding
-    /// each into tier-1 min/max buckets before deleting it.
-    ///
-    /// # Errors
-    ///
-    /// [`ScopeError::Io`] on compaction or delete failure.
-    pub fn enforce_retention(&mut self) -> Result<RetentionReport> {
-        let mut report = RetentionReport::default();
-        if self.cfg.retain_bytes.is_none() && self.cfg.retain_age.is_none() {
-            return Ok(report);
-        }
-        let newest = self.last_us.unwrap_or(0);
-        loop {
-            let total: u64 = self.sealed.iter().map(|s| s.bytes).sum();
-            let over_bytes = self
-                .cfg
-                .retain_bytes
-                .is_some_and(|budget| total > budget && self.sealed.len() > 1);
-            let over_age = self.cfg.retain_age.is_some_and(|age| {
-                self.sealed
-                    .first()
-                    .and_then(|s| s.last_us)
-                    .is_some_and(|last| newest.saturating_sub(last) > age.as_micros())
-            });
-            if !(over_bytes || over_age) {
-                break;
-            }
-            let victim = self.sealed.remove(0);
-            report.evicted += 1;
-            // When the glod pyramid already folded this segment (its
-            // seq is at or under the tier-1 watermark) the envelope is
-            // preserved on disk — folding it again into the bucketed
-            // tier-1 log would double-count it. Just delete.
-            let pyramid_covered =
-                crate::lod::watermark(&self.dir, 1).is_some_and(|wm| victim.seq <= wm);
-            if !pyramid_covered {
-                let (frames, buckets) = self.compact_segment(&victim)?;
-                report.frames_compacted += frames;
-                report.buckets_written += buckets;
-            }
-            std::fs::remove_file(&victim.path).map_err(ScopeError::Io)?;
-            // The index sidecar goes with its segment.
-            let _ = std::fs::remove_file(crate::index::index_path(&victim.path));
-            self.stats.segments_evicted += 1;
-        }
-        if report.evicted > 0 {
-            self.stats.compaction_runs += 1;
-            self.telemetry.compaction_runs.inc();
-            self.telemetry.segments_live.set_count(self.sealed.len());
-            if let Some(t1) = self.tier1.as_mut() {
-                t1.flush_block().map_err(ScopeError::Io)?;
-            }
-        }
-        Ok(report)
-    }
-
-    /// Downsamples one tier-0 segment into the tier-1 log: per
-    /// `(signal, bucket)` the envelope survives as two frames at the
-    /// bucket start — `(t, min)` then `(t, max)` — the same reduction
-    /// `decimate_minmax` applies on screen.
-    ///
-    /// Buckets are keyed `(bucket_start_us, signal)` so the fold emits
-    /// tier-1 frames in time order; the value is the running
-    /// `(min, max)`.
-    fn compact_segment(&mut self, seg: &SegmentInfo) -> Result<(u64, u64)> {
-        let mut file = File::open(&seg.path).map_err(ScopeError::Io)?;
-        if read_seg_header(&mut file).is_err() {
-            return Ok((0, 0)); // unreadable: nothing to preserve
-        }
-        let scan = scan_headers(&mut file).map_err(ScopeError::Io)?;
-        let bucket_us = self.cfg.compact_bucket.as_micros().max(1);
-        let mut buckets: EnvelopeBuckets = BTreeMap::new();
-        let mut frames = 0u64;
-        for meta in &scan.blocks {
-            let Some(payload) = read_block_payload(&mut file, meta).map_err(ScopeError::Io)? else {
-                continue; // corrupt block: skip, keep the rest
-            };
-            let (decoded, _) = crate::segment::decode_records(&payload, meta.first_us);
-            for f in decoded {
-                let b = f.time_us / bucket_us * bucket_us;
-                let e = buckets.entry((b, f.name)).or_insert((f.value, f.value));
-                e.0 = e.0.min(f.value);
-                e.1 = e.1.max(f.value);
-                frames += 1;
-            }
-        }
-        if buckets.is_empty() {
-            return Ok((0, 0));
-        }
-        if self.tier1.is_none() {
-            let w = self.new_segment(1)?;
-            self.tier1 = Some(w);
-        }
-        let written = buckets.len() as u64;
-        let t1 = self.tier1.as_mut().expect("tier1 just ensured");
-        for ((bucket, name), (lo, hi)) in buckets {
-            // Buckets straddling an eviction boundary may repeat with
-            // an equal timestamp; §3.3 permits that, readers merge.
-            let t = bucket.max(self.tier1_last_us.unwrap_or(0));
-            t1.append(t, lo, name.as_deref());
-            t1.append(t, hi, name.as_deref());
-            self.tier1_last_us = Some(t);
-        }
-        Ok((frames, written * 2))
-    }
-
-    /// Flushes the open block so readers (and a crash) see everything
-    /// appended so far.
-    ///
-    /// # Errors
-    ///
-    /// [`ScopeError::Io`] on write failure.
-    pub fn flush(&mut self) -> Result<()> {
-        self.flush_block()?;
-        if let Some(t1) = self.tier1.as_mut() {
-            t1.flush_block().map_err(ScopeError::Io)?;
-        }
         Ok(())
     }
 
@@ -675,9 +477,6 @@ impl Store {
             self.telemetry.bytes.add(pending);
         }
         self.publish_frames();
-        if let Some(t1) = self.tier1.take() {
-            t1.seal().map_err(ScopeError::Io)?;
-        }
         Ok(())
     }
 }
@@ -851,41 +650,6 @@ mod tests {
         // At most one frame lost: 40 appended, ≥39 survive.
         let survived = store.last_time().unwrap().as_micros();
         assert!(survived >= 38_000, "survived to {survived}");
-    }
-
-    #[test]
-    fn retention_compacts_into_minmax_tier() {
-        let dir = tmp_dir("retain");
-        let cfg = StoreConfig {
-            block_bytes: 256,
-            block_frames: 16,
-            segment_bytes: 1024,
-            retain_bytes: Some(2048),
-            compact_bucket: TimeDelta::from_millis(10),
-            ..StoreConfig::default()
-        };
-        let mut store = Store::open(&dir, cfg).unwrap();
-        for i in 0..3_000u64 {
-            let v = (i as f64 * 0.1).sin() * 100.0;
-            store
-                .append(TimeStamp::from_micros(i * 500), v, Some("wave"))
-                .unwrap();
-        }
-        let stats = store.close().unwrap();
-        assert!(stats.segments_evicted > 0, "nothing evicted");
-        assert!(stats.compaction_runs > 0);
-        let cat = catalog_segments(&dir).unwrap();
-        let tier0_bytes: u64 = cat.iter().filter(|s| s.tier == 0).map(|s| s.bytes).sum();
-        assert!(
-            tier0_bytes <= 2048 + 1024 + 64,
-            "tier0 {tier0_bytes}B over budget"
-        );
-        let tier1: Vec<_> = cat.iter().filter(|s| s.tier == 1).collect();
-        assert!(!tier1.is_empty(), "no tier-1 segment written");
-        // Tier-1 frames come in (t, min) / (t, max) pairs.
-        let t1_frames: u64 = tier1.iter().map(|s| s.frames).sum();
-        assert_eq!(t1_frames % 2, 0);
-        assert!(t1_frames > 0);
     }
 
     #[test]

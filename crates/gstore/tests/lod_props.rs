@@ -1,16 +1,18 @@
 //! glod pyramid properties: tier-K+1 envelope segments are exactly
 //! `decimate_minmax` of their tier-K sources (including NaN values and
-//! equal-timestamp frames), and a compactor killed mid-fold recovers
-//! to a pyramid with no torn or double-counted tier segments.
+//! equal-timestamp frames), a compactor killed mid-fold recovers to a
+//! pyramid with no torn or double-counted tier segments, and the
+//! retention policy never deletes history that no tier >= 1 envelope
+//! covers.
 
-use gel::TimeStamp;
+use gel::{TimeDelta, TimeStamp};
 use gscope::{decimate_minmax, Cols};
 use gstore::lod::{watermark, Compactor, CompactorConfig};
 use gstore::segment::{read_block_payload, read_seg_header, scan_headers};
 use gstore::{catalog_segments, probe_index, IndexProbe, SegmentInfo, Store, StoreConfig};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs::File;
 use std::path::{Path, PathBuf};
 
@@ -94,6 +96,114 @@ fn reference_bands(src: &[(u64, f64)], group: u64) -> Vec<(u64, f64, f64)> {
             (first_t[b].unwrap(), lo, hi)
         })
         .collect()
+}
+
+/// Every tier-0 segment's frames by sequence: what the store appended,
+/// kept by the test because retention deletes the sources.
+type Appended = BTreeMap<u64, Vec<(u64, f64, Option<String>)>>;
+
+/// Records the tier-0 segments now on disk into `appended`. Retention
+/// deletes only sealed segments, so a snapshot before each pass sees
+/// every evicted segment complete.
+fn snapshot_tier0(dir: &Path, appended: &mut Appended) {
+    for seg in catalog_segments(dir)
+        .unwrap()
+        .iter()
+        .filter(|s| s.tier == 0)
+    {
+        appended.insert(seg.seq, read_frames(&seg.path));
+    }
+}
+
+/// Every evicted tier-0 segment's time range, per signal, that lies
+/// inside no span a surviving tier >= 1 segment summarizes. A segment
+/// named `S` summarizes, per signal, from its first band to the
+/// signal's last appended frame at or under sequence `S`.
+fn uncovered_evictions(dir: &Path, appended: &Appended) -> Vec<(u64, Option<String>, u64, u64)> {
+    let catalog = catalog_segments(dir).unwrap();
+    let mut spans: BTreeMap<Option<String>, Vec<(u64, u64)>> = BTreeMap::new();
+    for seg in catalog.iter().filter(|s| s.tier >= 1) {
+        for (name, bands) in per_signal(&read_frames(&seg.path)) {
+            let end = appended
+                .range(..=seg.seq)
+                .flat_map(|(_, frames)| frames)
+                .filter(|f| f.2 == name)
+                .map(|f| f.0)
+                .max()
+                .expect("an envelope has source frames");
+            spans.entry(name).or_default().push((bands[0].0, end));
+        }
+    }
+    let live: BTreeSet<u64> = catalog
+        .iter()
+        .filter(|s| s.tier == 0)
+        .map(|s| s.seq)
+        .collect();
+    let mut uncovered = Vec::new();
+    for (&seq, frames) in appended.iter().filter(|(s, _)| !live.contains(s)) {
+        for (name, src) in per_signal(frames) {
+            let (from, to) = (src[0].0, src[src.len() - 1].0);
+            let inside = |&(lo, hi): &(u64, u64)| lo <= from && to <= hi;
+            if !spans.get(&name).is_some_and(|v| v.iter().any(inside)) {
+                uncovered.push((seq, name, from, to));
+            }
+        }
+    }
+    uncovered
+}
+
+/// True when `got` holds exactly the reference fold of `src`, signal
+/// for signal, bit for bit.
+fn folds_exactly(
+    src: &[(u64, f64, Option<String>)],
+    got: &BTreeMap<Option<String>, Vec<(u64, f64)>>,
+    group: u64,
+) -> bool {
+    let want = per_signal(src);
+    want.len() == got.len()
+        && want.iter().all(|(name, frames)| {
+            let pairs: Vec<(u64, f64, f64)> = got.get(name).map_or(Vec::new(), |p| {
+                p.chunks(2).map(|c| (c[0].0, c[0].1, c[1].1)).collect()
+            });
+            let reference = reference_bands(frames, group);
+            pairs.len() == reference.len()
+                && pairs.iter().zip(&reference).all(|(a, b)| {
+                    a.0 == b.0 && a.1.to_bits() == b.1.to_bits() && a.2.to_bits() == b.2.to_bits()
+                })
+        })
+}
+
+/// Checks every surviving tier-1 segment against `decimate_minmax` of
+/// the appended frames of its sources, `(previous tier-1 seq, seq]`.
+/// The oldest survivor's predecessor may have been evicted, so its
+/// sources may start after any earlier appended segment.
+fn check_tier1_against_appended(dir: &Path, appended: &Appended, group: u64) {
+    let catalog = catalog_segments(dir).unwrap();
+    let mut prev: Option<u64> = None;
+    for (i, out) in tier_of(&catalog, 1).into_iter().enumerate() {
+        let got = per_signal(&read_frames(&out.path));
+        let starts: Vec<Option<u64>> = if i == 0 {
+            std::iter::once(None)
+                .chain(appended.range(..out.seq).map(|(&s, _)| Some(s)))
+                .collect()
+        } else {
+            vec![prev]
+        };
+        let matches = starts.iter().any(|&after| {
+            let src: Vec<_> = appended
+                .range(..=out.seq)
+                .filter(|(&s, _)| after.is_none_or(|a| s > a))
+                .flat_map(|(_, frames)| frames.iter().cloned())
+                .collect();
+            folds_exactly(&src, &got, group)
+        });
+        assert!(
+            matches,
+            "tier-1 seg {} is not decimate_minmax of its appended sources",
+            out.seq
+        );
+        prev = Some(out.seq);
+    }
 }
 
 /// Tier-`k` segments in seq order.
@@ -239,6 +349,79 @@ proptest! {
         }
         std::fs::remove_dir_all(&dir).ok();
     }
+
+    /// Retention deletes only covered history: under any byte budget
+    /// and age horizon, with a tail too short for `pass` to fold, every
+    /// evicted tier-0 range of every signal lies inside some tier >= 1
+    /// segment after `pass` and then `drain`, and tier 1 still folds the
+    /// appended frames exactly.
+    #[test]
+    fn retention_evicts_only_history_a_coarser_tier_covers(
+        seed in 0u64..1_000_000,
+        n in 200usize..1_500,
+        tail in 1usize..256,
+        group_pow in 1u32..4,
+        retain_bytes in proptest::option::of(0u64..12_000),
+        retain_age_ms in proptest::option::of(0u64..1_000),
+    ) {
+        let group = 1u64 << group_pow;
+        let dir = tmp_dir(&format!("retain-{seed}-{n}-{group}"));
+        let cfg = CompactorConfig {
+            min_fold_frames: 256,
+            retain_bytes,
+            retain_age: retain_age_ms.map(TimeDelta::from_millis),
+            ..lod_cfg(group)
+        };
+        let mut c = Compactor::new(&dir, cfg).unwrap();
+        let mut appended = Appended::new();
+        let end = fill_random(&dir, seed, n, 0);
+        snapshot_tier0(&dir, &mut appended);
+        c.pass().unwrap();
+        fill_random(&dir, seed ^ 1, tail, end);
+        snapshot_tier0(&dir, &mut appended);
+        c.pass().unwrap();
+        c.drain().unwrap();
+        let uncovered = uncovered_evictions(&dir, &appended);
+        prop_assert!(uncovered.is_empty(), "evicted without an envelope: {uncovered:?}");
+        check_tier1_against_appended(&dir, &appended, group);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// A byte budget on a live store, with passes between appends, keeps
+/// an envelope for every evicted stretch of history.
+#[test]
+fn retention_keeps_an_envelope_for_every_evicted_range() {
+    let dir = tmp_dir("retain-live");
+    let mut store = Store::open(&dir, small_cfg()).unwrap();
+    let cfg = CompactorConfig {
+        retain_bytes: Some(8192),
+        ..lod_cfg(4)
+    };
+    let mut c = Compactor::new(&dir, cfg).unwrap();
+    let mut appended = Appended::new();
+    let mut evicted = 0;
+    for i in 0..4_000u64 {
+        let v = (i as f64 * 0.05).sin() * 50.0;
+        store
+            .append(TimeStamp::from_micros(i * 1_000), v, Some("wave"))
+            .unwrap();
+        if i % 400 == 399 {
+            store.flush().unwrap();
+            snapshot_tier0(&dir, &mut appended);
+            evicted += c.pass().unwrap().segments_evicted;
+        }
+    }
+    store.close().unwrap();
+    snapshot_tier0(&dir, &mut appended);
+    evicted += c.drain().unwrap().segments_evicted;
+    assert!(evicted >= 3, "{evicted} segments evicted");
+    let uncovered: Vec<_> = uncovered_evictions(&dir, &appended)
+        .into_iter()
+        .map(|(_, _, from, to)| (from / 1_000, to / 1_000))
+        .collect();
+    assert!(uncovered.is_empty(), "ms ranges lost: {uncovered:?}");
+    check_tier1_against_appended(&dir, &appended, 4);
 }
 
 /// Kills the compactor "mid-fold" — a partial scratch file on disk and

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use gel::{Clock, SystemClock, TickInfo, TimeDelta, TimeStamp, VirtualClock};
 use gnet::{Protocol, ScopeClient, ScopeServer};
 use gscope::{Scope, SigSource, StatsExport, Tuple, TupleReader, TupleSource, TupleWriter};
-use gstore::{catalog_segments, Store, StoreConfig, StoreReader};
+use gstore::{catalog_segments, Compactor, CompactorConfig, Store, StoreConfig, StoreReader};
 use gtel::Registry;
 
 use crate::args::Args;
@@ -244,23 +244,33 @@ fn store_cfg(args: &Args) -> Result<StoreConfig, Box<dyn std::error::Error>> {
     };
     cfg.segment_bytes = args.get_or("segment-kib", cfg.segment_bytes >> 10)? << 10;
     cfg.block_frames = args.get_or("block-frames", cfg.block_frames)?;
-    if let Some(v) = args.get("retain-bytes") {
-        cfg.retain_bytes = Some(v.parse().map_err(|_| format!("bad --retain-bytes {v:?}"))?);
-    }
-    if let Some(v) = args.get("retain-age-ms") {
-        let ms: u64 = v
-            .parse()
-            .map_err(|_| format!("bad --retain-age-ms {v:?}"))?;
-        cfg.retain_age = Some(TimeDelta::from_millis(ms));
-    }
-    let bucket_ms: u64 = args.get_or("bucket-ms", cfg.compact_bucket.as_micros() / 1_000)?;
-    cfg.compact_bucket = TimeDelta::from_millis(bucket_ms.max(1));
     Ok(cfg)
 }
 
+/// `serve`'s glod compactor settings plus any `--retain-*` history bound.
+fn compactor_cfg(args: &Args) -> Result<CompactorConfig, Box<dyn std::error::Error>> {
+    let bound = |flag| args.get(flag).map(|_| args.get_or(flag, 0u64)).transpose();
+    Ok(CompactorConfig {
+        min_fold_frames: 4096,
+        retain_bytes: bound("retain-bytes")?,
+        retain_age: bound("retain-age-ms")?.map(TimeDelta::from_millis),
+        ..CompactorConfig::default()
+    })
+}
+
+/// Drains the sealed store at `dir` under `lod`'s retention bound, if any.
+fn compact_sealed(dir: &str, lod: CompactorConfig) -> CmdResult {
+    if lod.retain_bytes.is_none() && lod.retain_age.is_none() {
+        return Ok(String::new());
+    }
+    let r = Compactor::new(dir, lod)?.drain()?;
+    let (evicted, folded, written) = (r.segments_evicted, r.frames_in, r.frames_out);
+    Ok(format!("compacted {dir}: {evicted} segments evicted, {folded} frames folded into {written} envelope frames\n"))
+}
+
 /// `record <file> --store <dir> [--fsync] [--segment-kib N] [--block-frames N]
-/// [--retain-bytes N] [--retain-age-ms MS] [--bucket-ms MS]` — ingest a
-/// §3.3 text recording into a binary store, streaming line by line.
+/// [--retain-bytes N] [--retain-age-ms MS]` — ingest a §3.3 text recording
+/// into a binary store line by line, then compact it under a retention bound.
 pub fn record(args: &Args) -> CmdResult {
     args.check_known(&[
         "store",
@@ -269,7 +279,6 @@ pub fn record(args: &Args) -> CmdResult {
         "block-frames",
         "retain-bytes",
         "retain-age-ms",
-        "bucket-ms",
     ])?;
     let path = args.positional(0, "file")?;
     let dir = args.get("store").ok_or("missing --store <dir>")?;
@@ -278,6 +287,7 @@ pub fn record(args: &Args) -> CmdResult {
         .len();
     let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
     let mut reader = TupleReader::new(BufReader::new(file));
+    let lod = compactor_cfg(args)?;
     let mut store = Store::open(dir, store_cfg(args)?)?;
     let mut frames = 0u64;
     while let Some(raw) = reader.next_raw()? {
@@ -285,13 +295,14 @@ pub fn record(args: &Args) -> CmdResult {
         frames += 1;
     }
     let stats = store.close()?;
+    let compacted = compact_sealed(dir, lod)?;
     let ratio = if stats.bytes_written > 0 {
         text_bytes as f64 / stats.bytes_written as f64
     } else {
         0.0
     };
     Ok(format!(
-        "recorded {frames} tuples into {dir}: {} bytes in {} segments ({} rolls), {ratio:.1}x smaller than text\n",
+        "recorded {frames} tuples into {dir}: {} bytes in {} segments ({} rolls), {ratio:.1}x smaller than text\n{compacted}",
         stats.bytes_written,
         stats.segments_rolled + 1,
         stats.segments_rolled,
@@ -384,25 +395,18 @@ pub fn replay(args: &Args) -> CmdResult {
     Ok(out)
 }
 
-/// `compact --store <dir> [--retain-bytes N] [--retain-age-ms MS]
-/// [--bucket-ms MS]` — seal the active segment and apply the retention
-/// policy now, downsampling evicted history into tier-1 envelopes.
+/// `compact --store <dir> [--retain-bytes N] [--retain-age-ms MS]` —
+/// seal the store, fold it into glod pyramid tiers, and delete the
+/// history the retention bound no longer keeps at full rate.
 pub fn compact(args: &Args) -> CmdResult {
-    args.check_known(&["store", "retain-bytes", "retain-age-ms", "bucket-ms"])?;
+    args.check_known(&["store", "retain-bytes", "retain-age-ms"])?;
     let dir = args.get("store").ok_or("missing --store <dir>")?;
     if args.get("retain-bytes").is_none() && args.get("retain-age-ms").is_none() {
         return Err("compact needs --retain-bytes and/or --retain-age-ms".into());
     }
-    let mut store = Store::open(dir, store_cfg(args)?)?;
-    // Sealing the tail makes it eligible; retention runs as part of
-    // the roll, so the roll's report is the one that matters.
-    let report = store.roll_segment()?;
-    let stats = store.stats();
-    store.close()?;
-    Ok(format!(
-        "compacted {dir}: {} segments evicted, {} frames folded into {} envelope frames ({} compaction runs)\n",
-        report.evicted, report.frames_compacted, report.buckets_written, stats.compaction_runs,
-    ))
+    // Opening recovers a torn tail; closing seals it for the fold.
+    Store::open(dir, StoreConfig::default())?.close()?;
+    compact_sealed(dir, compactor_cfg(args)?)
 }
 
 /// Replays `tuples` at `period` into a scope `width` pixels wide,
@@ -655,11 +659,7 @@ pub fn serve(args: &Args) -> CmdResult {
     if let Some(dir) = store_dir.as_deref() {
         std::fs::create_dir_all(dir)?;
         server.set_store(Store::open(dir, StoreConfig::default())?);
-        let lod_cfg = gstore::CompactorConfig {
-            min_fold_frames: 4096,
-            ..gstore::CompactorConfig::default()
-        };
-        compactor = Some(gstore::Compactor::new(dir, lod_cfg)?.start());
+        compactor = Some(Compactor::new(dir, compactor_cfg(args)?)?.start());
     }
     let local = server.local_addr()?;
     eprintln!("listening on {local} for {duration_ms}ms");
@@ -1002,10 +1002,10 @@ gscope-tool — companion CLI for gscope tuple recordings (§3.3 format)
 USAGE:
   gscope-tool info <file-or-store-dir> [--period MS]
   gscope-tool record <file> --store <dir> [--fsync] [--segment-kib N] [--block-frames N]
-                     [--retain-bytes N] [--retain-age-ms MS] [--bucket-ms MS]
+                     [--retain-bytes N] [--retain-age-ms MS]
   gscope-tool replay --store <dir> [--from MS] [--to MS] [--out <file>]
                      [--tier N | --px-width W]  (glod: force or plan a pyramid tier)
-  gscope-tool compact --store <dir> [--retain-bytes N] [--retain-age-ms MS] [--bucket-ms MS]
+  gscope-tool compact --store <dir> [--retain-bytes N] [--retain-age-ms MS]
   gscope-tool view <file> --out scope.ppm [--width N] [--period MS] [--svg]
   gscope-tool gen --out <file> [--seconds S] [--rate HZ] [--wave sine|square|saw|triangle]
                   [--freq HZ] [--amplitude A] [--name NAME]
