@@ -11,8 +11,9 @@
 //! via I/O watches, exactly the event-driven style Figure 6 and §4.3
 //! prescribe — no extra threads required. At scale the server also
 //! runs **thread-per-core**: [`ScopeServer::spawn_shards`] gives every
-//! shard its own readiness-driven poll loop, with connections pinned
-//! to shards by the acceptor so no global lock serializes I/O.
+//! shard its own readiness-driven poll loop that sleeps until there is
+//! work, with connections pinned to shards as they are accepted so no
+//! global lock serializes I/O.
 //!
 //! The default wire format is the §3.3 textual tuple format, one tuple
 //! per line, so `nc` and recorded files interoperate with live

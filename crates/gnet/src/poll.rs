@@ -11,6 +11,19 @@
 //! Simulated connections (`netsim` shaped links) have no descriptor;
 //! they advertise readiness through `StreamConn::readable_hint`, and
 //! the shard scans those regardless of the poller.
+//!
+//! Every poller also owns an `eventfd` waker registered under
+//! [`WAKE_TOKEN`]: another thread calls [`Poller::wake`] to end a
+//! blocking [`Poller::wait`] early (a connection handed to the shard,
+//! or the hub shutting down). The waker is level-triggered like the
+//! rest, so a wake that lands between two waits is not lost — the
+//! next wait returns at once.
+
+/// Token a [`Poller::wait`] reports when [`Poller::wake`] ended it.
+pub(crate) const WAKE_TOKEN: u64 = u64::MAX;
+
+/// Token reserved for a listening socket watched by a shard's poller.
+pub(crate) const LISTEN_TOKEN: u64 = u64::MAX - 1;
 
 /// Readiness interest registration and waiting, level-triggered.
 #[derive(Debug)]
@@ -20,14 +33,24 @@ pub struct Poller {
         allow(dead_code)
     )]
     epfd: i32,
+    #[cfg_attr(
+        not(all(target_os = "linux", target_arch = "x86_64")),
+        allow(dead_code)
+    )]
+    wakefd: i32,
 }
 
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 mod sys {
+    const SYS_READ: i64 = 0;
+    const SYS_WRITE: i64 = 1;
     const SYS_CLOSE: i64 = 3;
     const SYS_EPOLL_WAIT: i64 = 232;
     const SYS_EPOLL_CTL: i64 = 233;
+    const SYS_EVENTFD2: i64 = 290;
     const SYS_EPOLL_CREATE1: i64 = 291;
+    /// `EFD_NONBLOCK | EFD_CLOEXEC`.
+    const EFD_FLAGS: i64 = 0o4000 | 0o2000000;
 
     pub const EPOLL_CTL_ADD: i32 = 1;
     pub const EPOLL_CTL_DEL: i32 = 2;
@@ -82,6 +105,26 @@ mod sys {
         }
     }
 
+    pub fn eventfd() -> i64 {
+        unsafe { syscall4(SYS_EVENTFD2, 0, EFD_FLAGS, 0, 0) }
+    }
+
+    /// Adds one to an eventfd counter.
+    pub fn eventfd_signal(fd: i32) {
+        let n = 1u64;
+        unsafe {
+            syscall4(SYS_WRITE, fd as i64, &n as *const u64 as i64, 8, 0);
+        }
+    }
+
+    /// Resets an eventfd counter to zero (no-op when already zero).
+    pub fn eventfd_drain(fd: i32) {
+        let mut n = 0u64;
+        unsafe {
+            syscall4(SYS_READ, fd as i64, &mut n as *mut u64 as i64, 8, 0);
+        }
+    }
+
     pub fn close(fd: i32) {
         unsafe {
             syscall4(SYS_CLOSE, fd as i64, 0, 0, 0);
@@ -91,13 +134,24 @@ mod sys {
 
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 impl Poller {
-    /// Creates an epoll instance; `None` when the kernel refuses.
+    /// Creates an epoll instance with its waker registered; `None`
+    /// when the kernel refuses either.
     pub fn new() -> Option<Poller> {
-        let fd = sys::epoll_create1();
-        if fd < 0 {
+        let epfd = sys::epoll_create1();
+        if epfd < 0 {
             return None;
         }
-        Some(Poller { epfd: fd as i32 })
+        let wakefd = sys::eventfd();
+        if wakefd < 0 {
+            sys::close(epfd as i32);
+            return None;
+        }
+        let poller = Poller {
+            epfd: epfd as i32,
+            wakefd: wakefd as i32,
+        };
+        // On failure `poller` drops here and closes both descriptors.
+        poller.add(poller.wakefd, WAKE_TOKEN).then_some(poller)
     }
 
     /// Registers `fd` for level-triggered read readiness, tagged with
@@ -117,7 +171,8 @@ impl Poller {
     }
 
     /// Waits up to `timeout_ms` (0 = non-blocking) and appends ready
-    /// tokens to `ready`. Returns the number of events.
+    /// tokens to `ready`; a wake shows up as [`WAKE_TOKEN`] and is
+    /// consumed. Returns the number of events.
     pub fn wait(&self, ready: &mut Vec<u64>, timeout_ms: i32) -> usize {
         let mut events = [sys::EpollEvent { events: 0, data: 0 }; 128];
         let n = sys::epoll_wait(self.epfd, &mut events, timeout_ms);
@@ -126,15 +181,25 @@ impl Poller {
         }
         let n = n as usize;
         for ev in &events[..n] {
+            if ev.data == WAKE_TOKEN {
+                sys::eventfd_drain(self.wakefd);
+            }
             ready.push(ev.data);
         }
         n
+    }
+
+    /// Ends the current (or the next) [`Poller::wait`] early. Safe to
+    /// call from any thread.
+    pub fn wake(&self) {
+        sys::eventfd_signal(self.wakefd);
     }
 }
 
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 impl Drop for Poller {
     fn drop(&mut self) {
+        sys::close(self.wakefd);
         sys::close(self.epfd);
     }
 }
@@ -158,6 +223,9 @@ impl Poller {
     pub fn wait(&self, _ready: &mut Vec<u64>, _timeout_ms: i32) -> usize {
         0
     }
+
+    /// Unreachable (`new` never returns a Poller here).
+    pub fn wake(&self) {}
 }
 
 #[cfg(all(test, target_os = "linux", target_arch = "x86_64"))]
@@ -215,5 +283,42 @@ mod tests {
             waited += 1;
         }
         assert_eq!(ready, vec![7], "peer close surfaces as readiness");
+    }
+
+    #[test]
+    fn wake_ends_a_blocking_wait() {
+        use std::sync::Arc;
+        use std::time::{Duration, Instant};
+
+        let poller = Arc::new(Poller::new().unwrap());
+        let waiter = {
+            let poller = Arc::clone(&poller);
+            std::thread::spawn(move || {
+                let mut ready = Vec::new();
+                poller.wait(&mut ready, 5_000);
+                (ready, Instant::now())
+            })
+        };
+        // Let the waiter block before waking it.
+        std::thread::sleep(Duration::from_millis(50));
+        let woke_at = Instant::now();
+        poller.wake();
+        let (ready, returned_at) = waiter.join().unwrap();
+        assert_eq!(ready, vec![WAKE_TOKEN]);
+        assert!(
+            returned_at.duration_since(woke_at) < Duration::from_millis(100),
+            "wait returned {:?} after wake",
+            returned_at.duration_since(woke_at)
+        );
+        // The wake was consumed: the next wait sees nothing.
+        let mut ready = Vec::new();
+        assert_eq!(poller.wait(&mut ready, 0), 0);
+
+        // A wake that lands before the wait is not lost.
+        poller.wake();
+        let begin = Instant::now();
+        assert_eq!(poller.wait(&mut ready, 5_000), 1);
+        assert!(begin.elapsed() < Duration::from_millis(100));
+        assert_eq!(ready, vec![WAKE_TOKEN]);
     }
 }

@@ -6,19 +6,25 @@
 //! server after this delay is not buffered but dropped immediately."
 //!
 //! [`ScopeServer`] is now a facade over a sharded streaming hub (see
-//! [`crate::shard`]): the acceptor pins each connection to one of N
+//! [`crate::shard`]): each accepted connection is pinned to one of N
 //! per-core shards, and each shard runs its own readiness-driven
 //! non-blocking loop. Two ways to drive it:
 //!
 //! * **Inline** — [`ScopeServer::poll`] accepts and cycles every shard
 //!   on the caller's thread, exactly like the old single-threaded
-//!   server (and [`attach_server`] wires the acceptor and each shard
-//!   to a `gel` main loop as *independent* watches, so no lock is held
-//!   across the whole poll).
+//!   server (and [`attach_server`] wires an accept watch and each
+//!   shard to a `gel` main loop as *independent* watches, so no lock
+//!   is held across the whole poll).
 //! * **Threaded** — [`ScopeServer::spawn_shards`] starts one thread
-//!   per shard plus an acceptor; each shard blocks in its own `epoll`
-//!   wait. This is the thread-per-core mode the 10k-client benchmark
-//!   runs.
+//!   per shard and nothing else: shard 0's poller also watches the
+//!   listener, so shard 0 accepts. Each shard blocks in its own
+//!   `epoll` wait until a socket is ready, a connection is handed to
+//!   it, or its next deadline comes due. This is the thread-per-core
+//!   mode the 10k-client benchmark and `gtool serve` run.
+//!
+//! Accepted sockets get `TCP_NODELAY`: a subscriber's fan-out is one
+//! small write per cycle, which Nagle's algorithm would hold until the
+//! peer's delayed ACK (tens of milliseconds on Linux).
 //!
 //! Clients may speak the §3.3 text protocol or negotiate the binary
 //! frame protocol ([`crate::wire`]); subscribers under backpressure
@@ -30,6 +36,7 @@ use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use gel::{Continue, IoPoll, MainLoop, SourceId, TimeDelta, TimeStamp};
 use gscope::{StatsExport, Tuple};
@@ -37,6 +44,7 @@ use gstore::Store;
 use gtel::Registry;
 use parking_lot::Mutex;
 
+use crate::poll::LISTEN_TOKEN;
 use crate::shard::{catch_up_scopes, cycle, HubShared, ServerTelemetry, Shard};
 pub use crate::shard::{ClientInfo, HubConfig};
 use crate::wire::StreamConn;
@@ -322,7 +330,7 @@ impl ScopeServer {
     pub fn poll(&mut self) -> IoPoll {
         let mut any = self.accept_pending();
         for shard in &self.shards {
-            any |= cycle(shard, &self.shared, 0);
+            any |= cycle(shard, &self.shared, None).worked;
         }
         if any {
             IoPoll::Worked
@@ -331,8 +339,8 @@ impl ScopeServer {
         }
     }
 
-    /// Starts thread-per-core mode: one thread per shard (each parked
-    /// in its own `epoll` wait) plus an acceptor thread. Idempotent.
+    /// Starts thread-per-core mode: one thread per shard, each parked
+    /// in its own `epoll` wait, with shard 0 also accepting. Idempotent.
     /// Threads stop when the server drops. Inline [`ScopeServer::poll`]
     /// remains safe to call concurrently (shards are mutex-protected)
     /// but is pointless once threads run.
@@ -344,43 +352,14 @@ impl ScopeServer {
             let shard = Arc::clone(shard);
             let shared = Arc::clone(&self.shared);
             let running = Arc::clone(&self.running);
+            let listener = (shard.id == 0).then(|| Arc::clone(&self.listener));
             self.threads.push(
                 std::thread::Builder::new()
                     .name(format!("gnet-shard-{}", shard.id))
-                    .spawn(move || {
-                        let pacing = std::time::Duration::from_micros(shared.cfg.scan_pacing_us);
-                        while running.load(Ordering::Acquire) {
-                            let worked = cycle(&shard, &shared, 1);
-                            if !worked {
-                                // Without a kernel poller the cycle
-                                // returns immediately; don't spin.
-                                std::thread::sleep(std::time::Duration::from_micros(200));
-                            } else if shard.scan_mode.load(Ordering::Relaxed) && !pacing.is_zero() {
-                                // Hint-scanned clients have no kernel
-                                // wakeup: pause so arrivals batch
-                                // instead of re-scanning immediately.
-                                std::thread::sleep(pacing);
-                            }
-                        }
-                    })
+                    .spawn(move || run_shard(&shard, &shared, &running, listener.as_deref()))
                     .expect("spawn shard thread"),
             );
         }
-        let listener = Arc::clone(&self.listener);
-        let shared = Arc::clone(&self.shared);
-        let running = Arc::clone(&self.running);
-        self.threads.push(
-            std::thread::Builder::new()
-                .name("gnet-acceptor".to_owned())
-                .spawn(move || {
-                    while running.load(Ordering::Acquire) {
-                        if !accept_into(&listener, &shared) {
-                            std::thread::sleep(std::time::Duration::from_micros(500));
-                        }
-                    }
-                })
-                .expect("spawn acceptor thread"),
-        );
     }
 
     /// True when [`ScopeServer::spawn_shards`] threads are running.
@@ -392,18 +371,80 @@ impl ScopeServer {
 impl Drop for ScopeServer {
     fn drop(&mut self) {
         self.running.store(false, Ordering::Release);
+        // A shard blocked until its next deadline must see the flag now.
+        for shard in &self.shards {
+            shard.wake();
+        }
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
     }
 }
 
+/// A shard thread's loop: block in the poller (outside the shard lock)
+/// for as long as the last cycle allows, accept if this is the shard
+/// that watches `listener`, then cycle.
+fn run_shard(
+    shard: &Shard,
+    shared: &HubShared,
+    running: &AtomicBool,
+    listener: Option<&TcpListener>,
+) {
+    let pacing = Duration::from_micros(shared.cfg.scan_pacing_us);
+    // The listener rides on this shard's poller; should registration
+    // fail, the shard accepts every cycle and waits at most 1 ms.
+    let listen_polled = match (listener, &shard.poller) {
+        (Some(l), Some(poller)) => listener_fd(l).is_some_and(|fd| poller.add(fd, LISTEN_TOKEN)),
+        _ => false,
+    };
+    let accept_always = listener.is_some() && !listen_polled;
+    let mut ready = Vec::new();
+    let mut wait_ms = 0;
+    while running.load(Ordering::Acquire) {
+        ready.clear();
+        if let Some(poller) = &shard.poller {
+            let timeout = if accept_always {
+                wait_ms.min(1)
+            } else {
+                wait_ms
+            };
+            poller.wait(&mut ready, timeout);
+        }
+        if let Some(l) = listener {
+            if accept_always || ready.contains(&LISTEN_TOKEN) {
+                accept_into(l, shared);
+            }
+        }
+        let out = cycle(shard, shared, Some(&ready));
+        wait_ms = out.wait_ms;
+        if !out.worked && (shard.poller.is_none() || out.scanning) {
+            // No kernel wait bounded this cycle; don't spin.
+            std::thread::sleep(Duration::from_micros(200));
+        } else if out.worked && out.scanning && !pacing.is_zero() {
+            // Hint-scanned clients have no kernel wakeup: pause so
+            // arrivals batch instead of re-scanning immediately.
+            std::thread::sleep(pacing);
+        }
+    }
+}
+
+#[cfg(unix)]
+fn listener_fd(listener: &TcpListener) -> Option<i32> {
+    use std::os::unix::io::AsRawFd;
+    Some(listener.as_raw_fd())
+}
+
+#[cfg(not(unix))]
+fn listener_fd(_listener: &TcpListener) -> Option<i32> {
+    None
+}
+
 /// Installs a shared server on a main loop: one I/O watch per shard
-/// plus an acceptor watch, each locking only its own shard's state —
+/// plus an accept watch, each locking only its own shard's state —
 /// no lock is held across the whole poll, so several loop workers (or
 /// a threaded loop) can drive different shards concurrently.
 ///
-/// Returns the acceptor's [`SourceId`] (removing it stops new
+/// Returns the accept watch's [`SourceId`] (removing it stops new
 /// connections; shard watches stay).
 pub fn attach_server(server: &Arc<Mutex<ScopeServer>>, ml: &mut MainLoop) -> SourceId {
     let (listener, shared, shards) = {
@@ -414,7 +455,7 @@ pub fn attach_server(server: &Arc<Mutex<ScopeServer>>, ml: &mut MainLoop) -> Sou
             guard.shards.clone(),
         )
     };
-    // Acceptor first: connections accepted this iteration are adopted
+    // Accept first: connections accepted this iteration are adopted
     // by the shard watches dispatched right after it.
     let acceptor = {
         let shared = Arc::clone(&shared);
@@ -429,7 +470,7 @@ pub fn attach_server(server: &Arc<Mutex<ScopeServer>>, ml: &mut MainLoop) -> Sou
     for shard in shards {
         let shared = Arc::clone(&shared);
         ml.add_io_watch(Box::new(move || {
-            if cycle(&shard, &shared, 0) {
+            if cycle(&shard, &shared, None).worked {
                 IoPoll::Worked
             } else {
                 IoPoll::Idle
@@ -440,8 +481,9 @@ pub fn attach_server(server: &Arc<Mutex<ScopeServer>>, ml: &mut MainLoop) -> Sou
 }
 
 /// Drains the listener into the hub, pinning each connection to a
-/// shard. Returns true when any connection was accepted (recorded as
-/// a `net.server.accept` span so accept cost shows up in traces).
+/// shard with `TCP_NODELAY` set. Returns true when any connection was
+/// accepted (recorded as a `net.server.accept` span so accept cost
+/// shows up in traces).
 fn accept_into(listener: &TcpListener, shared: &HubShared) -> bool {
     let begin_ns = gtel::fast_now_ns();
     let mut accepted = 0u64;
@@ -451,6 +493,10 @@ fn accept_into(listener: &TcpListener, shared: &HubShared) -> bool {
                 if stream.set_nonblocking(true).is_err() {
                     continue;
                 }
+                // Without it a fan-out write waits on the peer's
+                // delayed ACK; a refusal only costs latency, so keep
+                // the connection either way.
+                let _ = stream.set_nodelay(true);
                 shared.pin_connection(Box::new(stream));
                 accepted += 1;
             }

@@ -1,27 +1,46 @@
 //! Thread-per-core shards: the hub's non-blocking poll loops.
 //!
-//! A [`ScopeServer`](crate::ScopeServer) owns N [`Shard`]s. The
-//! acceptor pins every new connection to one shard (round-robin), and
-//! each shard runs [`cycle`] over **its own** client set with **its
-//! own** readiness poller — no global lock serializes I/O. Shards
-//! share only the [`HubShared`] sinks (scopes, store, counters) and
-//! each other's lock-free-hinted inboxes for fan-out.
+//! A [`ScopeServer`](crate::ScopeServer) owns N [`Shard`]s. Every new
+//! connection is pinned to one shard (round-robin) by whoever accepted
+//! it — shard 0's thread in threaded mode, the caller in inline mode —
+//! and each shard runs [`cycle`] over **its own** client set with
+//! **its own** readiness poller — no global lock serializes I/O.
+//! Shards share only the [`HubShared`] sinks (scopes, store, counters)
+//! and each other's lock-free-hinted inboxes for fan-out.
 //!
 //! One cycle, in order:
 //!
-//! 1. adopt connections the acceptor parked in `pending`;
+//! 1. adopt connections parked in `pending`;
 //! 2. collect readiness (epoll when available, hint/scan otherwise);
 //! 3. read + parse every ready client — text lines and binary frames
 //!    interleave freely (see [`crate::wire`]);
 //! 4. deliver the parsed batch: store tee first, then scope buffers,
-//!    then every shard's subscriber inbox (store-before-inbox is the
-//!    ordering catch-up correctness rests on);
+//!    then the inbox of every shard that has a subscriber
+//!    (store-before-inbox is the ordering catch-up correctness rests
+//!    on);
 //! 5. drain this shard's inbox and fan out: the batch is encoded
 //!    **once** per wire protocol, then memcpy'd into each live
 //!    subscriber's bounded output queue;
 //! 6. pump catching-up clients from the store via the seek index;
 //! 7. flush each dirty output queue with a single `write` syscall;
 //! 8. reap dead clients.
+//!
+//! # Waiting
+//!
+//! A shard thread blocks in its poller between cycles, with the shard
+//! lock released, for as long as the cycle's
+//! [`CycleOutcome::wait_ms`] allows — derived from shard state:
+//!
+//! * 0 ms while the shard carries hint-scanned connections: they have
+//!   no kernel wakeup (the thread paces by `scan_pacing_us` instead);
+//! * 1 ms with a subscriber (live or catching up) or a non-empty
+//!   output queue: inbox pushes and short writes have no descriptor to
+//!   wake the poller, and the 1 ms window merges cross-shard batches
+//!   into one write;
+//! * otherwise until the next deadline — a PING due under
+//!   `ping_interval_us` or the duty-gauge window — unless a socket
+//!   turns readable or the poller's waker fires first (a connection
+//!   handed over by `pin_connection`, or the hub shutting down).
 //!
 //! # Backpressure state machine
 //!
@@ -251,16 +270,15 @@ pub(crate) struct HubShared {
     /// flush could surface new frames.
     pub store_dirty: AtomicBool,
     pub auto_register: AtomicBool,
-    pub subscriber_count: AtomicUsize,
     pub client_count: AtomicUsize,
     /// Newest delivered tuple time (µs) — the live head.
     pub head_us: AtomicU64,
     pub counters: HubCounters,
     pub tel: RwLock<ServerTelemetry>,
     /// All shards of this hub, set once at construction; lets any
-    /// shard fan a batch into every inbox.
+    /// shard fan a batch into every subscribed shard's inbox.
     pub shards: OnceLock<Vec<Arc<Shard>>>,
-    /// Acceptor round-robin cursor.
+    /// Round-robin cursor for pinning connections.
     pub next_shard: AtomicUsize,
 }
 
@@ -273,7 +291,6 @@ impl HubShared {
             store_present: AtomicBool::new(false),
             store_dirty: AtomicBool::new(false),
             auto_register: AtomicBool::new(true),
-            subscriber_count: AtomicUsize::new(0),
             client_count: AtomicUsize::new(0),
             head_us: AtomicU64::new(0),
             counters: HubCounters::default(),
@@ -283,12 +300,28 @@ impl HubShared {
         }
     }
 
-    /// Hands a connection to the next shard (round-robin).
+    fn shard(&self, id: usize) -> &Shard {
+        &self.shards.get().expect("shards installed at build")[id]
+    }
+
+    /// Subscribed clients across all shards (live or catching up).
+    pub(crate) fn subscriber_count(&self) -> usize {
+        self.shards.get().map_or(0, |shards| {
+            shards
+                .iter()
+                .map(|s| s.subscribers.load(Ordering::Relaxed))
+                .sum()
+        })
+    }
+
+    /// Hands a connection to the next shard (round-robin) and wakes
+    /// that shard's poller so it adopts the connection now.
     pub(crate) fn pin_connection(&self, conn: Box<dyn StreamConn>) {
         let shards = self.shards.get().expect("shards installed at build");
         let i = self.next_shard.fetch_add(1, Ordering::Relaxed) % shards.len();
         shards[i].pending.lock().push(conn);
         shards[i].pending_hint.store(true, Ordering::Release);
+        shards[i].wake();
     }
 
     /// Flushes the store tee if dirty; returns false on store error.
@@ -537,23 +570,42 @@ struct ClientState {
     dead: bool,
 }
 
-/// One shard: its clients, poller, and scratch buffers, all behind one
-/// mutex that only this shard's loop (or the inline facade) takes.
+/// One shard: its clients and scratch buffers behind one mutex that
+/// only this shard's loop (or the inline facade) takes, plus the
+/// poller, which sits outside the lock so the shard thread can block
+/// in it without stalling `client_stats` or an inline poll.
 pub(crate) struct Shard {
     pub id: usize,
     core: Mutex<ShardCore>,
+    /// Kernel readiness poller (`None`: every client is hint-scanned).
+    pub(crate) poller: Option<Poller>,
     /// Batches fanned in from any shard's ingest.
     inbox: Mutex<Vec<Rec>>,
     inbox_hint: AtomicBool,
-    /// Connections parked here by the acceptor.
+    /// Connections parked here by `pin_connection`.
     pending: Mutex<Vec<Box<dyn StreamConn>>>,
     pending_hint: AtomicBool,
-    /// True while this shard carries hint-scanned connections; the
-    /// shard thread paces busy cycles instead of spinning on scans.
-    pub(crate) scan_mode: AtomicBool,
+    /// Subscribed clients on this shard (live or catching up). Ingest
+    /// pushes into this shard's inbox only while it is non-zero; the
+    /// hub-wide count is the sum over shards.
+    subscribers: AtomicUsize,
     /// Latest published duty cycle (`f64::to_bits`), readable by any
     /// shard so one of them can maintain the hub-wide mean gauge.
     duty_bits: AtomicU64,
+}
+
+/// What one [`cycle`] did, and how long its shard thread may block in
+/// the poller before the next one.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct CycleOutcome {
+    /// Any work happened.
+    pub worked: bool,
+    /// The shard carries hint-scanned connections, which no kernel
+    /// wakeup covers.
+    pub scanning: bool,
+    /// Longest poller wait (ms) before the next cycle is due; see the
+    /// module docs for the rule.
+    pub wait_ms: i32,
 }
 
 /// The lock-protected interior of a shard.
@@ -561,7 +613,6 @@ struct ShardCore {
     id: usize,
     clients: Vec<ClientState>,
     tokens: HashMap<u64, usize>,
-    poller: Option<Poller>,
     next_token: u64,
     read_buf: Vec<u8>,
     /// Tuples parsed from this shard's clients this cycle.
@@ -608,7 +659,6 @@ impl Shard {
                 id,
                 clients: Vec::new(),
                 tokens: HashMap::new(),
-                poller: Poller::new(),
                 next_token: 1,
                 read_buf: vec![0u8; 64 << 10],
                 ingest: Vec::new(),
@@ -628,12 +678,20 @@ impl Shard {
                 busy_window_us: 0,
                 duty_gauge: None,
             }),
+            poller: Poller::new(),
             inbox: Mutex::new(Vec::new()),
             inbox_hint: AtomicBool::new(false),
             pending: Mutex::new(Vec::new()),
             pending_hint: AtomicBool::new(false),
-            scan_mode: AtomicBool::new(false),
+            subscribers: AtomicUsize::new(0),
             duty_bits: AtomicU64::new(0),
+        }
+    }
+
+    /// Ends this shard's poller wait early (no-op without a poller).
+    pub(crate) fn wake(&self) {
+        if let Some(poller) = &self.poller {
+            poller.wake();
         }
     }
 
@@ -656,39 +714,36 @@ impl Shard {
     }
 }
 
-/// Runs one cycle of `shard`'s loop. `wait_ms` bounds the kernel
-/// readiness wait (0 = non-blocking, for inline/gel use). Returns true
-/// when any work happened.
-pub(crate) fn cycle(shard: &Shard, shared: &HubShared, wait_ms: i32) -> bool {
+/// Runs one cycle of `shard`'s loop. `ready` carries the tokens of a
+/// poller wait the shard thread already did (outside the shard lock);
+/// `None` polls without blocking instead (inline/gel use).
+pub(crate) fn cycle(shard: &Shard, shared: &HubShared, ready: Option<&[u64]>) -> CycleOutcome {
     let begin_ns = gtel::fast_now_ns();
     let mut core = shard.core.lock();
     let core = &mut *core;
     let mut worked = false;
 
-    // 1. Adopt connections parked by the acceptor.
+    // 1. Adopt connections parked by `pin_connection`.
     if shard.pending_hint.swap(false, Ordering::AcqRel) {
         let mut pending = std::mem::take(&mut *shard.pending.lock());
         for conn in pending.drain(..) {
-            core.add_client(conn, shared);
+            core.add_client(conn, shard, shared);
             worked = true;
         }
     }
 
     // 2. Readiness: kernel poller for real sockets, hints for sims.
-    // Blocking in epoll is only safe when every live client is
-    // kernel-polled: with hint-scanned connections on the shard, a
-    // wait would add up to `wait_ms` of latency per cycle to data the
-    // poller cannot see (and an empty interest set would block for
-    // the full timeout).
+    // Tokens the poller reports for anything but a client (its waker,
+    // a listener) have no entry in `tokens` and fall through.
     core.ready_tokens.clear();
     core.to_read.clear();
-    shard.scan_mode.store(core.unpolled > 0, Ordering::Relaxed);
-    let mut wait_ns = 0u64;
-    if let Some(poller) = &core.poller {
-        let timeout = if core.unpolled > 0 { 0 } else { wait_ms };
-        let wait_begin = gtel::fast_now_ns();
-        poller.wait(&mut core.ready_tokens, timeout);
-        wait_ns = gtel::fast_now_ns().saturating_sub(wait_begin);
+    match ready {
+        Some(tokens) => core.ready_tokens.extend_from_slice(tokens),
+        None => {
+            if let Some(poller) = &shard.poller {
+                poller.wait(&mut core.ready_tokens, 0);
+            }
+        }
     }
     for token in &core.ready_tokens {
         if let Some(&idx) = core.tokens.get(token) {
@@ -753,33 +808,41 @@ pub(crate) fn cycle(shard: &Shard, shared: &HubShared, wait_ms: i32) -> bool {
 
     // 6b. Clock probes: ping each sync-negotiated client on the
     // configured cadence, right before the flush below so t0 is as
-    // close to the socket write as the cycle allows.
+    // close to the socket write as the cycle allows. The earliest
+    // next probe is a deadline for the shard's wait.
     let now_us = wire_now_us();
+    let ping_interval = shared.cfg.ping_interval_us;
+    let mut next_ping_us = u64::MAX;
     for c in core.clients.iter_mut() {
         if c.dead || c.caps & FLAG_CLOCK_SYNC == 0 {
             continue;
         }
-        if now_us.saturating_sub(c.last_ping_us) >= shared.cfg.ping_interval_us {
+        if now_us.saturating_sub(c.last_ping_us) >= ping_interval {
             c.last_ping_us = now_us;
             let mut frame = Vec::with_capacity(16);
             frame_ping(&mut frame, wire_now_us());
             c.out.push(&frame, 0, 0, true);
             worked = true;
         }
+        next_ping_us = next_ping_us.min(c.last_ping_us.saturating_add(ping_interval));
     }
 
-    // 7. Flush output queues: one gather per client.
+    // 7. Flush output queues: one gather per client. Bytes a short
+    // write leaves behind have no readiness event to wake the shard.
     let mut flushed = 0u64;
+    let mut queued = false;
     for c in core.clients.iter_mut() {
         if c.dead || c.out.len() == 0 {
             continue;
         }
         match c.out.write_to(c.conn.as_mut()) {
-            Ok(0) => {}
             Ok(n) => {
-                c.info.bytes_out += n as u64;
-                flushed += n as u64;
-                worked = true;
+                if n > 0 {
+                    c.info.bytes_out += n as u64;
+                    flushed += n as u64;
+                    worked = true;
+                }
+                queued |= c.out.len() > 0;
             }
             Err(_) => {
                 c.dead = true;
@@ -796,7 +859,7 @@ pub(crate) fn cycle(shard: &Shard, shared: &HubShared, wait_ms: i32) -> bool {
     }
 
     // 8. Reap the dead.
-    core.reap(shared);
+    core.reap(shard, shared);
 
     if worked {
         // Same label the single-threaded server used, so traces stay
@@ -805,16 +868,14 @@ pub(crate) fn cycle(shard: &Shard, shared: &HubShared, wait_ms: i32) -> bool {
         let tel = shared.tel.read();
         tel.clients
             .set_count(shared.client_count.load(Ordering::Relaxed));
-        tel.subscribers
-            .set_count(shared.subscriber_count.load(Ordering::Relaxed));
+        tel.subscribers.set_count(shared.subscriber_count());
     }
 
-    // Duty-cycle accounting: everything this cycle did except the
-    // blocking readiness wait counts as busy; gauges refresh on the
-    // window cadence so the figure tracks recent load, not lifetime.
-    let busy_ns = gtel::fast_now_ns()
-        .saturating_sub(begin_ns)
-        .saturating_sub(wait_ns);
+    // Duty-cycle accounting: the whole cycle counts as busy (the
+    // thread's blocking wait happens outside it); gauges refresh on
+    // the window cadence so the figure tracks recent load, not
+    // lifetime.
+    let busy_ns = gtel::fast_now_ns().saturating_sub(begin_ns);
     core.busy.add_busy(std::time::Duration::from_nanos(busy_ns));
     let now_us = wire_now_us();
     if now_us.saturating_sub(core.busy_window_us) >= DUTY_WINDOW_US {
@@ -838,15 +899,31 @@ pub(crate) fn cycle(shard: &Shard, shared: &HubShared, wait_ms: i32) -> bool {
             tel.duty_cycle.set(mean);
         }
     }
-    worked
+
+    // How long the shard thread may block before the next cycle.
+    let scanning = core.unpolled > 0;
+    let wait_ms = if scanning {
+        0
+    } else if queued || shard.subscribers.load(Ordering::Relaxed) > 0 {
+        1
+    } else {
+        let due_us = next_ping_us.min(core.busy_window_us + DUTY_WINDOW_US);
+        let wait_us = due_us.saturating_sub(wire_now_us());
+        i32::try_from(wait_us.div_ceil(1_000)).unwrap_or(i32::MAX)
+    };
+    CycleOutcome {
+        worked,
+        scanning,
+        wait_ms,
+    }
 }
 
 impl ShardCore {
-    fn add_client(&mut self, conn: Box<dyn StreamConn>, shared: &HubShared) {
+    fn add_client(&mut self, conn: Box<dyn StreamConn>, shard: &Shard, shared: &HubShared) {
         let token = self.next_token;
         self.next_token += 1;
         let mut polled = false;
-        if let (Some(poller), Some(fd)) = (&self.poller, conn.raw_fd()) {
+        if let (Some(poller), Some(fd)) = (&shard.poller, conn.raw_fd()) {
             polled = poller.add(fd, token);
         }
         let peer = conn.peer_label();
@@ -881,7 +958,7 @@ impl ShardCore {
         shared.tel.read().connections.inc();
     }
 
-    fn reap(&mut self, shared: &HubShared) {
+    fn reap(&mut self, shard: &Shard, shared: &HubShared) {
         let mut i = 0;
         while i < self.clients.len() {
             if !self.clients[i].dead {
@@ -890,7 +967,7 @@ impl ShardCore {
             }
             let c = self.clients.swap_remove(i);
             if c.polled {
-                if let (Some(poller), Some(fd)) = (&self.poller, c.conn.raw_fd()) {
+                if let (Some(poller), Some(fd)) = (&shard.poller, c.conn.raw_fd()) {
                     poller.del(fd);
                 }
             } else {
@@ -901,7 +978,7 @@ impl ShardCore {
                 self.tokens.insert(moved.token, i);
             }
             if c.subscribed {
-                shared.subscriber_count.fetch_sub(1, Ordering::Relaxed);
+                shard.subscribers.fetch_sub(1, Ordering::Relaxed);
             }
             shared.counters.disconnects.fetch_add(1, Ordering::Relaxed);
             shared.client_count.fetch_sub(1, Ordering::Relaxed);
@@ -1044,7 +1121,10 @@ fn count_protocol_error(c: &mut ClientState, shared: &HubShared) {
 fn subscribe(c: &mut ClientState, shared: &HubShared) {
     if !c.subscribed {
         c.subscribed = true;
-        shared.subscriber_count.fetch_add(1, Ordering::Relaxed);
+        shared
+            .shard(c.info.shard)
+            .subscribers
+            .fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -1337,11 +1417,13 @@ fn deliver_batch(core: &mut ShardCore, shared: &HubShared) {
             e2e.mark_push(name, m);
         }
     }
-    // Fan out to subscriber inboxes (skipped entirely with none —
-    // ingest-only hubs pay nothing here).
-    if shared.subscriber_count.load(Ordering::Acquire) > 0 {
-        let shards = shared.shards.get().expect("shards installed");
-        for sh in shards.iter() {
+    // Fan out only into the inboxes of shards with a subscriber to
+    // drain them — ingest-only hubs and subscriber-free shards pay
+    // nothing here. A catching-up subscriber still counts: its shard
+    // must keep receiving so the rejoin leaves no gap.
+    let shards = shared.shards.get().expect("shards installed");
+    for sh in shards.iter() {
+        if sh.subscribers.load(Ordering::Relaxed) > 0 {
             sh.inbox.lock().extend_from_slice(batch);
             sh.inbox_hint.store(true, Ordering::Release);
         }

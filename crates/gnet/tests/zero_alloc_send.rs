@@ -4,11 +4,15 @@
 //! The whole test binary runs under a counting wrapper around the
 //! system allocator; after warming the connection to steady-state
 //! buffer capacities, a burst of sends must not allocate at all.
+//!
+//! Allocations are counted per thread: the test harness runs tests on
+//! parallel threads, and a sibling test allocating during the measured
+//! burst must not be charged to it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::io::Read;
 use std::net::TcpListener;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use gel::TimeStamp;
 use gnet::ScopeClient;
@@ -16,18 +20,27 @@ use gscope::Tuple;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and drop-free, so touching it from inside the
+    // allocator never allocates (or recurses) itself.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with`: allocations during thread teardown go uncounted.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -35,8 +48,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 /// A loopback server end the client can connect to; the test drains it

@@ -661,20 +661,22 @@ pub fn serve(args: &Args) -> CmdResult {
         server.set_store(Store::open(dir, StoreConfig::default())?);
         compactor = Some(Compactor::new(dir, compactor_cfg(args)?)?.start());
     }
+    // The network runs on the hub's shard threads (event-driven, one
+    // per core); this thread only keeps the tick and snapshot cadence.
+    server.spawn_shards();
     let local = server.local_addr()?;
     eprintln!("listening on {local} for {duration_ms}ms");
 
     let deadline = clock.now() + TimeDelta::from_millis(duration_ms);
     let mut next_tick = clock.now() + TimeDelta::from_millis(period_ms);
-    let mut next_snapshot =
-        (snapshot_ms > 0).then(|| clock.now() + TimeDelta::from_millis(snapshot_ms));
+    let mut next_snapshot = (snapshot_ms > 0 && out.is_some())
+        .then(|| clock.now() + TimeDelta::from_millis(snapshot_ms));
     let mut snapshots = 0u64;
     // Raster snapshots share a frame cache across the loop so each
     // cadence re-render is an incremental scroll blit, not a full
     // widget redraw.
     let mut frames = grender::FrameCache::new();
     while clock.now() < deadline {
-        let _ = server.poll();
         let now = clock.now();
         if now >= next_tick {
             scope.lock().tick(&TickInfo {
@@ -697,18 +699,24 @@ pub fn serve(args: &Args) -> CmdResult {
                 next_snapshot = Some(at + TimeDelta::from_millis(snapshot_ms));
             }
         }
-        std::thread::sleep(std::time::Duration::from_millis(1));
+        let wake = next_snapshot.map_or(next_tick, |at| at.min(next_tick));
+        std::thread::sleep(wake.min(deadline).saturating_since(clock.now()).to_std());
     }
 
     let stats = server.stats();
     let clients = server.client_stats();
+    let shards = server.shard_count();
+    let newest = server.with_store(|s| s.last_time()).flatten();
+    let store = server.take_store();
+    // Stop the shard threads: nothing lands in the scope after the
+    // report's counters were read.
+    drop(server);
     // Settle the tee and pyramid: seal the store, stop the background
     // compactor, and run one last drain so the final render sees every
     // folded tier.
     let mut lod_report = String::new();
     if let Some(dir) = store_dir.as_deref() {
-        let newest = server.with_store(|s| s.last_time()).flatten();
-        if let Some(store) = server.take_store() {
+        if let Some(store) = store {
             store.close()?;
         }
         if let Some(handle) = compactor.take() {
@@ -731,7 +739,7 @@ pub fn serve(args: &Args) -> CmdResult {
     let mut report = format!(
         "served {local} ({} shards): {} connections, {} tuples, {} parse errors, \
          {} protocol errors, {} late drops\nsignals: {}\n",
-        server.shard_count(),
+        shards,
         stats.connections,
         stats.tuples_received,
         stats.parse_errors,

@@ -321,3 +321,99 @@ fn lossy_netsim_population_stays_protocol_clean() {
         assert_eq!(times.len() as u64, tuples, "client {i} missed tuples");
     }
 }
+
+/// Delivery latency through a threaded hub over real loopback TCP: a
+/// binary producer on one shard, a binary subscriber on the other.
+/// Every fan-out is one small write; without `TCP_NODELAY` on the
+/// hub's accepted sockets, Nagle's algorithm holds most of them until
+/// the subscriber's delayed ACK, some 20–40 ms later.
+///
+/// Nagle's hold is systematic — it lifts the p90 to ~40 ms on every
+/// attempt — while a host that deschedules a thread for tens of
+/// milliseconds can spoil one attempt at random, so the test takes the
+/// best of three.
+#[test]
+fn threaded_hub_delivers_without_nagle_delay() {
+    let mut attempts = Vec::new();
+    for _ in 0..3 {
+        let latencies_us = probe_delivery_latencies();
+        let n = latencies_us.len();
+        let (p50, p90, max) = (
+            latencies_us[n / 2],
+            latencies_us[n * 9 / 10],
+            latencies_us[n - 1],
+        );
+        if p90 < 10_000 {
+            return;
+        }
+        attempts.push(format!("p50 {p50} µs, p90 {p90} µs, max {max} µs"));
+    }
+    panic!("send → receive p90 never under 10 ms: {attempts:?}");
+}
+
+/// Sends 200 probes 2 ms apart through a fresh two-shard threaded hub
+/// and returns their send → receive latencies (µs), sorted.
+fn probe_delivery_latencies() -> Vec<u64> {
+    const PROBES: usize = 200;
+    let cfg = HubConfig {
+        shards: 2,
+        // The subscriber answers each clock probe with a PONG. A peer
+        // that talks back is "interactive" to its TCP stack, which then
+        // delays its ACKs: at this cadence that is the steady state,
+        // as on a busy hub, instead of one episode per default 200 ms.
+        ping_interval_us: 20_000,
+        ..HubConfig::default()
+    };
+    let mut server = ScopeServer::with_config("127.0.0.1:0", cfg).unwrap();
+    let addr = server.local_addr().unwrap();
+    server.spawn_shards();
+
+    // Connections are pinned round-robin: connecting the subscriber
+    // only after the producer was adopted puts them on different shards.
+    let mut producer = ScopeClient::connect_binary(addr).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while server.client_count() < 1 {
+        assert!(Instant::now() < deadline, "producer never adopted");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let mut subscriber = ScopeClient::connect_binary(addr).unwrap();
+    subscriber.subscribe();
+    loop {
+        let _ = producer.pump();
+        let _ = subscriber.pump();
+        let negotiated = producer.negotiated() == gnet::Protocol::Binary
+            && subscriber.negotiated() == gnet::Protocol::Binary;
+        if negotiated && server.client_stats().iter().any(|c| c.subscribed) {
+            break;
+        }
+        assert!(Instant::now() < deadline, "set-up did not converge");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let shards: BTreeSet<usize> = server.client_stats().iter().map(|c| c.shard).collect();
+    assert_eq!(shards.len(), 2, "producer and subscriber share a shard");
+
+    // Each probe carries its send time (µs since `base`) as its stamp.
+    let base = Instant::now();
+    let mut next_send = base;
+    let mut sent = 0usize;
+    let mut latencies_us = Vec::with_capacity(PROBES);
+    let deadline = base + Duration::from_secs(10);
+    while latencies_us.len() < PROBES && Instant::now() < deadline {
+        if sent < PROBES && Instant::now() >= next_send {
+            let t_us = base.elapsed().as_micros() as u64;
+            producer.send_at(TimeStamp::from_micros(t_us), "nagle.probe", sent as f64);
+            let _ = producer.pump();
+            sent += 1;
+            next_send += Duration::from_millis(2);
+        }
+        let _ = subscriber.pump();
+        let recv_us = base.elapsed().as_micros() as u64;
+        for t in subscriber.take_received() {
+            latencies_us.push(recv_us - t.time.as_micros());
+        }
+        std::thread::sleep(Duration::from_micros(100));
+    }
+    assert_eq!(latencies_us.len(), PROBES, "probes lost");
+    latencies_us.sort_unstable();
+    latencies_us
+}
